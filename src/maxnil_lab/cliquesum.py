@@ -198,7 +198,7 @@ def _check_summands(summands: Sequence[Graph], strict: bool) -> None:
     from .linking import is_maxnil
     for i, g in enumerate(summands, start=1):
         report = is_maxnil(g)
-        if not report.is_maxnil:
+        if report.maxnil_status != "maxnil":
             raise GraphError(f"summand {i} is not maximal linklessly embeddable")
 
 

@@ -23,10 +23,15 @@ does: branch sets of a 3-connected pattern cannot straddle a 2-cut,
 and a fragment poking through {u, v} prunes back to its own side. Sums
 over an identified edge therefore decompose into their parts.
 
-Maxnility and K6-maximality scan the non-edges in lexicographic order.
-A parallel mode may partition that scan across processes; results are
-combined so the reported failing edge is the smallest one regardless of
-scheduling.
+Maxnility and K6-maximality scan one non-edge per orbit of Aut(G),
+the smallest one, in lexicographic order: adding two edges of one orbit
+gives isomorphic hosts, so one search decides the whole orbit, and the
+smallest failing representative is the smallest failing edge. Orbits
+are exact, computed from canonical forms with the pair's endpoints
+marked. A budget applies to the search of each representative. A
+parallel mode may partition the representatives across processes;
+results are combined so the reported failing edge is the smallest one
+regardless of scheduling.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import networkx as nx
 
@@ -181,12 +186,14 @@ def _search_any_minor(g: Graph, patterns, budget: Optional[int],
     budget, a lattice overflow falls back to the branch-set search; a
     caller budget is honored strictly and exhaustion propagates.
 
-    Completed unbudgeted refutations are cached by canonical form, so
-    isomorphic hosts (the repeated sides of decomposed sums, above all)
-    are refuted once per process. Budgeted searches bypass that cache,
-    neither reading nor writing it, so whether a budget runs out depends
-    only on the host and the budget, never on what the process certified
-    earlier. Positive verdicts are never cached: their witness models
+    Completed unbudgeted refutations are cached by the host's canonical
+    form and the pattern list, so isomorphic hosts (the repeated sides
+    of decomposed sums, above all) are refuted once per process. The
+    patterns key by their structure, without canonical forms, since
+    callers pass the same pattern graphs on every call. Budgeted
+    searches bypass that cache, neither reading nor writing it, so
+    whether a budget runs out depends only on the host and the budget,
+    never on what the process certified earlier. Positive verdicts are never cached: their witness models
     are tied to one labeling.
     """
     comps = connected_components(g)
@@ -197,7 +204,8 @@ def _search_any_minor(g: Graph, patterns, budget: Optional[int],
             model = _search_any_minor(sub, patterns, budget, linkless_shortcut)
             if model is not None:
                 model = _remap_component_model(model, verts)
-                assert verify_minor_model(g, model.pattern, model)
+                if not verify_minor_model(g, model.pattern, model):
+                    raise RuntimeError("component witness does not replay against its host")
                 return model
         return None
     patterns = [p for p in patterns if p.n <= g.n and p.m <= g.m]
@@ -205,7 +213,7 @@ def _search_any_minor(g: Graph, patterns, budget: Optional[int],
         return None
     if budget is not None:
         return _search_connected(g, patterns, budget, linkless_shortcut)
-    cache_key = (canonical_form(g), tuple(canonical_form(p) for p in patterns))
+    cache_key = (canonical_form(g), tuple(patterns))
     if cache_key in _REFUTED:
         return None
     model = _search_connected(g, patterns, budget, linkless_shortcut)
@@ -230,7 +238,8 @@ def _search_connected(g: Graph, patterns, budget: Optional[int],
                 model = _search_any_minor(side, patterns, budget, linkless_shortcut)
                 if model is not None:
                     model = _remap_component_model(model, verts)
-                    assert verify_minor_model(g, model.pattern, model)
+                    if not verify_minor_model(g, model.pattern, model):
+                        raise RuntimeError("cut-pair witness does not replay against its host")
                     return model
             return None
     if g.n <= _LATTICE_LIMIT:
@@ -354,20 +363,38 @@ def _scan_chunk(args) -> Tuple[str, Optional[Edge]]:
     return ("ok", None)
 
 
+def _non_edge_orbits(g: Graph) -> Dict[Edge, Edge]:
+    """Smallest member of its Aut(g) orbit, for each non-edge of g.
+
+    Non-edges uv and xy lie in one orbit iff marking {u, v} and marking
+    {x, y} give the same canonical form, so the orbits are exact.
+    """
+    first: Dict[bytes, Edge] = {}
+    reps: Dict[Edge, Edge] = {}
+    for u, v in g.non_edges():
+        colors = [0] * g.n
+        colors[u] = colors[v] = 1
+        reps[(u, v)] = first.setdefault(canonical_form(g, colors), (u, v))
+    return reps
+
+
 def _scan_augmentations(g: Graph, threads: int, budget: Optional[int],
                         k6_mode: bool) -> Optional[Edge]:
     """Smallest non-edge whose addition stays minor-free, or None.
 
-    Matches the sequential lexicographic scan: if an earlier edge would
-    have raised UndecidedError before any failure, that error is raised.
+    Only the smallest non-edge of each Aut(g) orbit is added and
+    searched, in lexicographic order; the others give isomorphic hosts.
+    A budget caps the search of each representative, and if an earlier
+    representative would have raised UndecidedError before any failure
+    in the sequential scan, that error is raised.
     """
-    non_edges = g.non_edges()
-    if not non_edges:
+    reps = [e for e, rep in _non_edge_orbits(g).items() if e == rep]
+    if not reps:
         return None
     if threads <= 1:
-        result = _scan_chunk((g, non_edges, budget, k6_mode))
+        result = _scan_chunk((g, reps, budget, k6_mode))
     else:
-        chunks = [non_edges[i::threads] for i in range(threads)]
+        chunks = [reps[i::threads] for i in range(threads)]
         with ProcessPoolExecutor(max_workers=threads) as pool:
             events = list(pool.map(_scan_chunk, [(g, c, budget, k6_mode) for c in chunks if c]))
         hits = [(e, kind) for kind, e in events if e is not None]

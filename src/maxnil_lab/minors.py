@@ -599,29 +599,55 @@ def find_minor(host: Graph, pattern: Graph, budget: Optional[int] = None) -> Opt
     if frags is None:
         return None
     model = _model_from_frags(host, pattern, frags)
-    assert verify_minor_model(host, pattern, model)
+    if not verify_minor_model(host, pattern, model):
+        raise RuntimeError("branch-set witness does not replay against its host")
     return model
 
 
-def _embed_spanning(order: list, earlier: list, pdeg_of_pos: list, qadj: list) -> Optional[list]:
+def _placement(p: Graph) -> Tuple[list, list, list]:
+    """Search order of a pattern for ``_embed_spanning``.
+
+    Places next the vertex with the most already placed neighbors, so
+    adjacency prunes from the start. Returns the order, each position's
+    earlier neighbor positions and each position's degree.
+    """
+    order = []
+    placed: set = set()
+    left = set(range(p.n))
+    while left:
+        v = max(left, key=lambda u: (len(p.neighbors(u) & placed), p.degree(u), -u))
+        order.append(v)
+        placed.add(v)
+        left.remove(v)
+    pos = {v: t for t, v in enumerate(order)}
+    earlier = [[pos[w] for w in p.neighbors(order[t]) if pos[w] < t]
+               for t in range(p.n)]
+    pdeg_of_pos = [p.degree(order[t]) for t in range(p.n)]
+    return order, earlier, pdeg_of_pos
+
+
+def _embed_spanning(earlier: list, pdeg_of_pos: list, qadj: list) -> Optional[list]:
     # bijection from pattern positions onto quotient vertices covering
-    # every pattern edge; candidates ascend, so the result is canonical
+    # every pattern edge; each position's candidates are a bitmask,
+    # walked lowest bit first, so the first bijection found is the
+    # lexicographically least one
     k = len(qadj)
     qdeg = [bin(r).count("1") for r in qadj]
-    image = [-1] * k
+    okdeg = [sum(1 << c for c in range(k) if qdeg[c] >= d) for d in pdeg_of_pos]
+    image = [0] * k
 
     def rec(t: int, used: int) -> bool:
         if t == k:
             return True
-        for c in range(k):
-            if used >> c & 1 or qdeg[c] < pdeg_of_pos[t]:
-                continue
-            if any(not qadj[c] >> image[s] & 1 for s in earlier[t]):
-                continue
-            image[t] = c
-            if rec(t + 1, used | 1 << c):
+        cand = okdeg[t] & ~used
+        for s in earlier[t]:
+            cand &= qadj[image[s]]
+        while cand:
+            low = cand & -cand
+            image[t] = low.bit_length() - 1
+            if rec(t + 1, used | low):
                 return True
-        image[t] = -1
+            cand ^= low
         return False
 
     return image if rec(0, 0) else None
@@ -659,22 +685,8 @@ def lattice_search(host: Graph, patterns: Sequence[Graph], budget: Optional[int]
     pdata = {}
     for p in patterns:
         by_n.setdefault(p.n, []).append(p)
-        # connected search order: place next the vertex with the most
-        # already placed neighbors, so adjacency prunes from the start
-        order = []
-        placed: set = set()
-        left = set(range(p.n))
-        while left:
-            v = max(left, key=lambda u: (len(p.neighbors(u) & placed), p.degree(u), -u))
-            order.append(v)
-            placed.add(v)
-            left.remove(v)
-        pos = {v: t for t, v in enumerate(order)}
-        earlier = [[pos[w] for w in p.neighbors(order[t]) if pos[w] < t]
-                   for t in range(p.n)]
-        pdeg_of_pos = [p.degree(order[t]) for t in range(p.n)]
         degs = sorted((p.degree(v) for v in range(p.n)), reverse=True)
-        pdata[id(p)] = (order, earlier, pdeg_of_pos, degs)
+        pdata[id(p)] = (*_placement(p), degs)
     min_pn = min(p.n for p in patterns)
     min_pm = min(p.m for p in patterns)
 
@@ -718,11 +730,12 @@ def lattice_search(host: Graph, patterns: Sequence[Graph], budget: Optional[int]
             qdegs = sorted((bin(r).count("1") for r in qadj), reverse=True)
             if any(qd < pd for qd, pd in zip(qdegs, pdegs)):
                 continue
-            image = _embed_spanning(order, earlier, pdeg_of_pos, qadj)
+            image = _embed_spanning(earlier, pdeg_of_pos, qadj)
             if image is not None:
                 sigma = {order[t]: image[t] for t in range(k)}
                 model = _lattice_model(host, adj, p, fibers, sigma)
-                assert verify_minor_model(host, p, model)
+                if not verify_minor_model(host, p, model):
+                    raise RuntimeError("lattice witness does not replay against its host")
                 return model
         if k - 1 < min_pn:
             continue

@@ -3,7 +3,6 @@
 import io
 import json
 
-from maxnil_lab import linking
 from maxnil_lab.cli import main
 from maxnil_lab.formats import graph6_decode, graph6_encode
 from maxnil_lab.graph import complete_graph

@@ -176,6 +176,15 @@ def test_k2_predicate():
         k2_sum_maxnil_predicate(q, (0, 2), tri, (0, 1))
 
 
+def test_strict_mode_recertifies_the_summands():
+    # K3 is maxnil vacuously, so strict mode lets the sum through
+    tri = complete_graph(3)
+    assert not k2_sum_maxnil_predicate(tri, (0, 1), tri, (0, 1), strict=True)
+    # adding the missing edge to a 3-vertex path leaves it nIL
+    with pytest.raises(GraphError, match="summand 2"):
+        k2_sum_maxnil_predicate(tri, (0, 1), path_graph(3), (0, 1), strict=True)
+
+
 def test_k2_predicate_matches_direct_certification():
     s = clique_sum(CliqueSumSpec(k6_minus(), k6_minus(), {0: 0, 1: 1}))
     report = is_maxnil(s)

@@ -8,15 +8,24 @@ through explicit minor models.
 
 import itertools
 import json
+import os
+import random
+import subprocess
+import sys
 import time
 
+import networkx as nx
 import pytest
 
+import maxnil_lab
+from maxnil_lab import linking
 from maxnil_lab.canon import canonical_form, is_isomorphic
+from maxnil_lab.cliquesum import CliqueSumSpec, clique_sum
 from maxnil_lab.errors import UndecidedError
 from maxnil_lab.families import jorgensen_graph
 from maxnil_lab.graph import (
     Graph,
+    add_edge,
     build_graph,
     circulant_graph,
     complete_graph,
@@ -318,3 +327,100 @@ def test_engines_agree_on_random_hosts():
         assert il == (direct is not None)
         if il:
             assert verify_minor_model(g, witness.pattern, witness)
+
+
+def brute_force_scan(g, threads, budget, k6_mode):
+    # every non-edge in lexicographic order, no symmetry reduction
+    decide = has_k6_minor if k6_mode else is_intrinsically_linked
+    for e in g.non_edges():
+        if not decide(add_edge(g, e), budget=budget)[0]:
+            return e
+    return None
+
+
+def orbit_scan_cases():
+    near = delete_edge(complete_graph(6), (4, 5))
+    cases = [cycle_graph(5), clique_sum(CliqueSumSpec(near, near, {0: 0, 1: 1}))]
+    # random maxnil graphs, saturated greedily in a seeded edge order,
+    # and each with one edge deleted, so that some scans fail late
+    rng = random.Random(4242)
+    for n in (7, 8, 8):
+        pairs = list(itertools.combinations(range(n), 2))
+        rng.shuffle(pairs)
+        g = Graph(n, [])
+        for e in pairs:
+            if not is_intrinsically_linked(add_edge(g, e))[0]:
+                g = add_edge(g, e)
+        cases += [g, delete_edge(g, rng.choice(g.edges))]
+    return cases
+
+
+def test_orbit_scan_matches_brute_force_scan(monkeypatch):
+    for g in orbit_scan_cases():
+        for certify in (is_maxnil, is_maximal_k6_minor_free):
+            with monkeypatch.context() as m:
+                m.setattr(linking, "_scan_augmentations", brute_force_scan)
+                want = certify(g, threads=1).to_dict(include_elapsed=False)
+            for threads in (1, 2):
+                assert certify(g, threads=threads).to_dict(include_elapsed=False) == want
+
+
+def test_non_edge_orbit_representatives():
+    for g in orbit_scan_cases():
+        reps = linking._non_edge_orbits(g)
+        assert list(reps) == list(g.non_edges())
+        h = nx.Graph(list(g.edges))
+        h.add_nodes_from(range(g.n))
+        auts = list(nx.algorithms.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
+        for (u, v), rep in reps.items():
+            # the smallest image of the pair under the full automorphism group
+            assert rep == min(tuple(sorted((a[u], a[v]))) for a in auts)
+            assert reps[rep] == rep
+
+
+def test_witness_replay_runs_under_optimize():
+    # a corrupted model must still be caught when asserts are stripped
+    script = """
+from maxnil_lab import linking, minors
+from maxnil_lab.graph import Graph, complete_graph, disjoint_union, path_graph
+from maxnil_lab.minors import MinorModel
+
+assert False, "asserts are not stripped"
+
+def corrupting(fn):
+    def wrapped(*args):
+        model = fn(*args)
+        branch = dict(model.branch_sets)
+        branch[0] = frozenset()
+        return MinorModel(branch, model.edge_witnesses, model.pattern)
+    return wrapped
+
+k6, k7 = complete_graph(6), complete_graph(7)
+cases = [
+    (minors, "_model_from_frags", lambda: minors.find_minor(k7, k6)),
+    (minors, "_lattice_model", lambda: minors.lattice_search(k7, [k6])),
+    (linking, "_remap_component_model",
+     lambda: linking.is_intrinsically_linked(disjoint_union(path_graph(3), k6))),
+    (linking, "_remap_component_model",
+     lambda: linking.is_intrinsically_linked(Graph(7, list(k6.edges) + [(4, 6), (5, 6)]))),
+]
+for module, name, run in cases:
+    original = getattr(module, name)
+    setattr(module, name, corrupting(original))
+    try:
+        run()
+    except RuntimeError as exc:
+        print(exc)
+    setattr(module, name, original)
+"""
+    src = os.path.dirname(os.path.dirname(maxnil_lab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "branch-set witness does not replay against its host",
+        "lattice witness does not replay against its host",
+        "component witness does not replay against its host",
+        "cut-pair witness does not replay against its host",
+    ]
