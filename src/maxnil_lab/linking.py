@@ -11,7 +11,9 @@ The IL test tries family members smallest first, K6 leading, and
 short-circuits on a hit. Members are first probed under a small node
 budget, then any that came back undecided are re-run exhaustively; this
 staging changes which witness is found, never the verdict, and is
-deterministic.
+deterministic. Only lists of more than one pattern are staged: a lone
+pattern's probe runs the same search as its rerun, so the K6 test
+searches exhaustively at once.
 
 Two sound shortcuts keep the exhaustive engines off easy hosts. A
 graph with a vertex whose removal leaves it planar embeds linklessly,
@@ -248,7 +250,9 @@ def _search_connected(g: Graph, patterns, budget: Optional[int],
         except UndecidedError:
             if budget is not None:
                 raise
-    if budget is not None:
+    # a lone pattern's probe would run the same deterministic search as
+    # its exhaustive rerun, so only lists of several patterns are staged
+    if budget is not None or len(patterns) == 1:
         for pat in patterns:
             model = find_minor(g, pat, budget=budget)
             if model is not None:

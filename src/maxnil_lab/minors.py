@@ -28,13 +28,21 @@ seeded fragments needs a free component adjacent to both, every unseeded
 pattern vertex needs a free component adjacent to all of its seeded
 neighbors, and adjacent unseeded vertices must share a feasible
 component. Connector enumeration is confined to the components that can
-actually reach the goal. The first seed is restricted to host orbit
-representatives, which is sound because any model maps to an equivalent
-one along an automorphism. States are keyed by their fragment tuple,
-minimized over pattern and host automorphisms in one batched pass, and
-failed states are memoized; this collapses the many connector orders
+actually reach the goal. The free components and their neighborhoods
+are kept per free-vertex mask, since many states share one, and the
+feasibility sets are bitmasks of component indices. The first seed is
+restricted to host orbit representatives, which is sound because any
+model maps to an equivalent one along an automorphism. States are keyed
+by their fragment tuple, minimized over pattern and host automorphisms,
+and failed states are memoized; this collapses the many connector orders
 that converge on the same partial model and the assignments that differ
-only by a symmetry of either side.
+only by a symmetry of either side. Keys are tuples of plain integers:
+each fragment's images under the host automorphisms come from byte
+lookup tables and are kept per fragment. A complete pattern such as K6
+takes every order of its fragments, so its key is the least sorted row;
+for other patterns the least row over the pattern permutations is built
+one position at a time, with the permutations still tied kept as a
+bitmask.
 
 Everything is deterministic: goals are chosen fail-first with fixed tie
 breaks, vertices ascend, path enumeration is lexicographic. ``budget``
@@ -50,8 +58,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Iterator, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .canon import automorphism_orbits
 from .errors import UndecidedError
@@ -225,66 +231,113 @@ class _Search:
         self.pnbrs = [sorted(pattern.neighbors(v)) for v in range(pattern.n)]
         self.failed: set = set()
         self.complete_pattern = pattern.m == pattern.n * (pattern.n - 1) // 2
-        # symmetry data for state keys: byte lookup tables for host
-        # automorphisms, index arrays for pattern automorphisms
+        # symmetry data for state keys: byte lookup tables for a subset
+        # of host automorphisms (the identity alone for an asymmetric
+        # host) and, unless the pattern is complete, a subset of pattern
+        # automorphisms as bitmasks: reads[d][c] has bit k set when the
+        # k-th permutation reads column c at position d
         hauts = _automorphisms(host, 512)
-        self.hlut = None
-        if len(hauts) > 1:
-            step = max(1, len(hauts) // 32)
-            subset = hauts[::step][:32]
-            self.hlut = np.array([_mask_tables(perm, host.n) for perm in subset],
-                                 dtype=np.uint64)
-        self.nblocks = (host.n + 7) // 8
-        self.pperms = None
+        step = max(1, len(hauts) // 32)
+        self.htables = [_mask_tables(perm, host.n) for perm in hauts[::step][:32]]
+        self.shifts = range(0, host.n, 8)
         if not self.complete_pattern:
             pauts = _automorphisms(pattern, 512)
-            if len(pauts) > 1:
-                cap = max(1, 2048 // (1 if self.hlut is None else len(self.hlut)))
-                step = max(1, (len(pauts) + cap - 1) // cap)
-                self.pperms = np.array(pauts[::step][:cap], dtype=np.intp)
-        # column groups for packing a key row into uint64 words
-        per = max(1, 64 // host.n)
-        self.packing = [range(lo, min(lo + per, pattern.n))
-                        for lo in range(0, pattern.n, per)]
+            cap = max(1, 2048 // len(self.htables))
+            step = max(1, (len(pauts) + cap - 1) // cap)
+            pperms = pauts[::step][:cap]
+            self.reads = [[0] * pattern.n for _ in range(pattern.n)]
+            for k, perm in enumerate(pperms):
+                for d, c in enumerate(perm):
+                    self.reads[d][c] |= 1 << k
+            self.all_perms = (1 << len(pperms)) - 1
         self.pmask = tuple(sum(1 << w for w in pattern.neighbors(v))
                            for v in range(pattern.n))
         self._nbr_cache: Dict[int, int] = {}
+        self._comp_cache: Dict[int, tuple] = {}
+        self._image_cache: Dict[int, tuple] = {}
 
-    def _state_key(self, frags: list):
-        # minimum of the state over (a subset of) host x pattern
+    def _state_key(self, frags: list) -> tuple:
+        # the least row of the state over (a subset of) host x pattern
         # automorphisms: equal keys always come from genuinely
-        # equivalent states, whatever subset the minimum ranges over
-        if self.hlut is None and self.pperms is None:
-            return tuple(sorted(frags)) if self.complete_pattern else tuple(frags)
-        arr = np.array(frags, dtype=np.uint64)
-        if self.hlut is None:
-            rows = arr[None, :]
-        else:
-            idx = (arr & np.uint64(255)).astype(np.intp)
-            rows = self.hlut[:, 0, idx]
-            for b in range(1, self.nblocks):
-                idx = (arr >> np.uint64(8 * b) & np.uint64(255)).astype(np.intp)
-                rows = rows | self.hlut[:, b, idx]
+        # equivalent states, whatever subset the minimum ranges over.
+        # Row h holds each fragment's image under host automorphism h.
+        images = [self._images(f) for f in frags]
         if self.complete_pattern:
-            rows = np.sort(rows, axis=1)
-        elif self.pperms is not None:
-            rows = rows[:, self.pperms].reshape(-1, arr.size)
-        if rows.shape[0] == 1:
-            return rows[0].tobytes()
-        # lexicographic minimum row: pack columns into uint64 words,
-        # then refine the candidate set one word at a time
-        shift = np.uint64(self.host.n)
-        cand = None
-        for group in self.packing:
-            word = rows[:, group[0]] if cand is None else rows[cand, group[0]]
-            for c in group[1:]:
-                word = word << shift | (rows[:, c] if cand is None else rows[cand, c])
-            low = word.min()
-            keep = word == low
-            cand = np.flatnonzero(keep) if cand is None else cand[keep]
-            if cand.size == 1:
-                break
-        return rows[cand[0]].tobytes()
+            # every order of a complete pattern's fragments is a pattern
+            # automorphism, so the least row of host h is sorted
+            return tuple(min(map(sorted, zip(*images))))
+        return self._least_row(frags, images)
+
+    def _images(self, frag: int) -> tuple:
+        # the fragment mapped along every host automorphism of the key;
+        # few distinct fragments recur across states, so they are kept
+        got = self._image_cache.get(frag)
+        if got is None:
+            parts = [frag >> s & 255 for s in self.shifts]
+            images = []
+            for tables in self.htables:
+                out = 0
+                for t, x in zip(tables, parts):
+                    out |= t[x]
+                images.append(out)
+            got = tuple(images)
+            if len(self._image_cache) < 100_000:
+                self._image_cache[frag] = got
+        return got
+
+    def _least_row(self, frags: list, images: list) -> tuple:
+        # lexicographically least row (image of fragment perm[d] at
+        # position d) over host automorphisms and pattern permutations,
+        # built one position at a time. A candidate is a host with the
+        # bitmask of permutations whose rows tie the least prefix so far.
+        # Empty fragments map to 0 under every host automorphism, so
+        # while the prefix is all 0 one mask serves every host.
+        n = len(frags)
+        row = []
+        perms = self.all_perms
+        for d in range(n):
+            reads = self.reads[d]
+            empty = 0
+            cols = []
+            for c in range(n):
+                if reads[c] & perms:
+                    if frags[c]:
+                        cols.append(c)
+                    else:
+                        empty |= reads[c]
+            if empty:
+                perms &= empty
+                row.append(0)
+                continue
+            # the first nonempty position splits the candidates by host;
+            # distinct nonempty fragments have distinct images
+            least = min([min(images[c]) for c in cols])
+            row.append(least)
+            cands = [(h, perms & reads[c]) for c in cols
+                     for h, x in enumerate(images[c]) if x == least]
+            break
+        for d in range(len(row), n):
+            reads = self.reads[d]
+            least = None
+            tied = []
+            for h, mask in cands:
+                low = None
+                keep = 0
+                for c in range(n):
+                    m = reads[c] & mask
+                    if m:
+                        x = images[c][h]
+                        if low is None or x < low:
+                            low, keep = x, m
+                        elif x == low:
+                            keep |= m
+                if least is None or low < least:
+                    least, tied = low, [(h, keep)]
+                elif low == least:
+                    tied.append((h, keep))
+            row.append(least)
+            cands = tied
+        return tuple(row)
 
     def _tick(self) -> None:
         self.nodes += 1
@@ -308,20 +361,26 @@ class _Search:
             return out
         return got
 
+    def _components(self, free: int) -> tuple:
+        # the components of the free vertices and their neighborhoods;
+        # many states share one free mask, so they are kept per mask
+        got = self._comp_cache.get(free)
+        if got is None:
+            comps = _free_components(free, self.adj)
+            got = (comps, [self._nbrmask(c) for c in comps])
+            if len(self._comp_cache) < 200_000:
+                self._comp_cache[free] = got
+        return got
+
     def _solve(self, frags: list, free: int) -> Optional[list]:
         self._tick()
-        pending = []
-        for idx, (i, j) in enumerate(self.pedges):
-            fi, fj = frags[i], frags[j]
-            if fi and fj:
-                if not self._nbrmask(fi) & fj:
-                    pending.append(idx)
-            else:
-                pending.append(idx)
-        unseeded = [p for p in range(self.pattern.n) if not frags[p]]
+        nb = [self._nbrmask(f) if f else 0 for f in frags]
+        # an edge is pending until both ends are seeded and adjacent
+        pending = [idx for idx, (i, j) in enumerate(self.pedges) if not nb[i] & frags[j]]
+        unseeded = [p for p, f in enumerate(frags) if not f]
         if not pending and not unseeded:
             return list(frags)
-        if bin(free).count("1") < len(unseeded):
+        if free.bit_count() < len(unseeded):
             return None
         if not self._feasible(frags, free, pending, unseeded):
             return None
@@ -330,12 +389,12 @@ class _Search:
         key = self._state_key(frags)
         if key in self.failed:
             return None
-        got = self._branch(frags, free, pending, unseeded)
+        got = self._branch(frags, free, nb, pending, unseeded)
         if got is None and len(self.failed) < 2_000_000:
             self.failed.add(key)
         return got
 
-    def _branch(self, frags: list, free: int, pending: list,
+    def _branch(self, frags: list, free: int, nb: list, pending: list,
                 unseeded: list) -> Optional[list]:
         both, one = [], []
         for idx in pending:
@@ -349,7 +408,7 @@ class _Search:
         for idx in both + one:
             for p in self.pedges[idx]:
                 if frags[p] and p not in contacts:
-                    contacts[p] = bin(self._nbrmask(frags[p]) & free).count("1")
+                    contacts[p] = (nb[p] & free).bit_count()
         if both:
             # fail-first: connect the most constrained fragment pair
             def both_key(idx):
@@ -359,7 +418,7 @@ class _Search:
             i, j = self.pedges[min(both, key=both_key)]
             if contacts[j] < contacts[i]:
                 i, j = j, i
-            return self._connect(frags, free, i, j)
+            return self._connect(frags, free, nb, i, j)
         if one:
             # seed the unseeded endpoint that is already pinned down by
             # the most seeded neighbors, then the tightest fragment
@@ -371,7 +430,7 @@ class _Search:
             i, j = self.pedges[min(one, key=one_key)]
             if not frags[i]:
                 i, j = j, i
-            return self._connect_seed(frags, free, i, j, len(unseeded))
+            return self._connect_seed(frags, free, nb, i, j, len(unseeded))
         # no pending edge touches a seeded vertex: seed a fresh one
         pick = max(unseeded, key=lambda p: (self.pdeg[p], -p))
         empty_state = all(f == 0 for f in frags)
@@ -389,30 +448,38 @@ class _Search:
         return None
 
     def _feasible(self, frags, free, pending, unseeded) -> bool:
-        comps = _free_components(free, self.adj)
-        cadj = [self._nbrmask(c) for c in comps]
-        feasible_comps = {}
+        comps, cadj = self._components(free)
+        # sets of free components as bitmasks of component indices:
+        # those adjacent to each seeded fragment, and those that can
+        # hold each unseeded vertex's branch set
+        touch = [0] * len(frags)
+        for p, f in enumerate(frags):
+            if f:
+                got = 0
+                for ci, cn in enumerate(cadj):
+                    if cn & f:
+                        got |= 1 << ci
+                touch[p] = got
+        # _solve checked that free has a vertex for every unseeded
+        # pattern vertex, so there is a component whenever one is unseeded
+        feasible = [(1 << len(comps)) - 1] * len(frags)
+        left = 0
         for p in unseeded:
-            seeded_nbrs = [q for q in self.pnbrs[p] if frags[q]]
-            if seeded_nbrs:
-                ok = {ci for ci, cn in enumerate(cadj)
-                      if all(cn & frags[q] for q in seeded_nbrs)}
-                if not ok:
-                    return False
-            else:
-                ok = set(range(len(comps)))
-            feasible_comps[p] = ok
+            left |= 1 << p
+            ok = feasible[p]
+            for q in self.pnbrs[p]:
+                if frags[q]:
+                    ok &= touch[q]
+            if not ok:
+                return False
+            feasible[p] = ok
         for idx in pending:
             i, j = self.pedges[idx]
-            fi, fj = frags[i], frags[j]
-            if fi and fj and not any(cn & fi and cn & fj for cn in cadj):
+            if frags[i] and frags[j] and not touch[i] & touch[j]:
                 return False
         # adjacent unseeded branch sets grow inside free vertices, so a
         # connected group of unseeded pattern vertices must fit together
         # into a single free component feasible for every one of them
-        left = 0
-        for p in unseeded:
-            left |= 1 << p
         while left:
             seed = left & -left
             grp = seed
@@ -425,32 +492,31 @@ class _Search:
                 grp |= grow
                 frontier = grow
             left &= ~grp
-            members = list(_bits(grp))
-            if len(members) == 1:
+            if grp == seed:
                 continue
-            inter = feasible_comps[members[0]]
-            for p in members[1:]:
-                inter = inter & feasible_comps[p]
-                if not inter:
-                    return False
-            if max(bin(comps[ci]).count("1") for ci in inter) < len(members):
+            inter = -1
+            for p in _bits(grp):
+                inter &= feasible[p]
+            if not inter:
+                return False
+            if max(comps[ci].bit_count() for ci in _bits(inter)) < grp.bit_count():
                 return False
         return True
 
-    def _connect(self, frags, free, i, j) -> Optional[list]:
+    def _connect(self, frags, free, nb, i, j) -> Optional[list]:
         # all chordless free paths from fragment i to fragment j
         fi, fj = frags[i], frags[j]
-        start = self._nbrmask(fi) & free
-        end_zone = self._nbrmask(fj) & free
+        start = nb[i] & free
+        end_zone = nb[j] & free
         if not start or not end_zone:
             return None
         # only components touching both fragments can carry a connector
         allowed = 0
-        for c in _free_components(free, self.adj):
+        for c in self._components(free)[0]:
             if c & start and c & end_zone:
                 allowed |= c
         start &= allowed
-        limit = bin(free).count("1") - sum(1 for p in range(self.pattern.n) if not frags[p])
+        limit = free.bit_count() - frags.count(0)
 
         def extend(path_masks, path, last):
             self._tick()
@@ -499,23 +565,21 @@ class _Search:
             frags[i], frags[j] = old_i, old_j
         return None
 
-    def _connect_seed(self, frags, free, i, j, n_unseeded) -> Optional[list]:
+    def _connect_seed(self, frags, free, nb, i, j, n_unseeded) -> Optional[list]:
         # paths from fragment i whose suffix founds the branch set of j
         fi = frags[i]
-        start = self._nbrmask(fi) & free
+        start = nb[i] & free
         if not start:
             return None
         # the new branch set stays inside its free component forever, so
         # that component must reach every already seeded neighbor of j
         seeded_others = [frags[k] for k in self.pnbrs[j] if k != i and frags[k]]
         allowed = 0
-        for c in _free_components(free, self.adj):
-            if c & start:
-                cn = self._nbrmask(c)
-                if all(cn & fk for fk in seeded_others):
-                    allowed |= c
+        for c, cn in zip(*self._components(free)):
+            if c & start and all(cn & fk for fk in seeded_others):
+                allowed |= c
         start &= allowed
-        limit = bin(free).count("1") - (n_unseeded - 1)
+        limit = free.bit_count() - (n_unseeded - 1)
 
         def extend(path_masks, path, last):
             self._tick()

@@ -159,10 +159,10 @@ def test_export_roundtrip(capsys, monkeypatch):
 def test_file_input_and_output(tmp_path, capsys, monkeypatch):
     target = tmp_path / "graph.g6"
     code, out, _ = run(capsys, monkeypatch,
-                       ["gen", "q13-3", "-o", str(target)])
+                       ["gen", "jorgensen", "--i", "0", "-o", str(target)])
     assert code == 0
     text = target.read_text().strip()
-    assert graph6_decode(text).n == 13
+    assert graph6_decode(text).n == 8
     code, out, _ = run(capsys, monkeypatch, ["verify", str(target)])
     assert code == 0
     assert "il: nIL" in out

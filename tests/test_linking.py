@@ -240,6 +240,24 @@ def test_has_k6_minor_in_supergraphs():
     assert has_k6_minor(kneser_5_2()) == (False, None)
 
 
+def test_single_pattern_search_skips_the_staged_probe(monkeypatch):
+    # K13 is too big for the lattice, not apex and has no cut pair, so
+    # the K6 test reaches the branch-set search: one exhaustive call
+    host = complete_graph(13)
+    budgets = []
+
+    def recording_find_minor(g, pattern, budget=None):
+        budgets.append(budget)
+        return find_minor(g, pattern, budget=budget)
+
+    monkeypatch.setattr(linking, "find_minor", recording_find_minor)
+    has, model = has_k6_minor(host)
+    assert has and budgets == [None]
+    want = find_minor(host, complete_graph(6))
+    assert model.branch_sets == want.branch_sets
+    assert model.edge_witnesses == want.edge_witnesses
+
+
 def test_apex_graphs_are_not_linked():
     # 3x3 grid plus a vertex joined to every grid vertex: removing the
     # apex leaves the planar grid, so the graph embeds linklessly even

@@ -2,8 +2,10 @@ import itertools
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
+from maxnil_lab import families
 from maxnil_lab.errors import UndecidedError
 from maxnil_lab.graph import (
     Graph,
@@ -18,8 +20,13 @@ from maxnil_lab.graph import (
 from maxnil_lab.linking import petersen_family
 from maxnil_lab.minors import (
     MinorModel,
+    _automorphisms,
+    _bits,
     _embed_spanning,
+    _free_components,
+    _mask_tables,
     _placement,
+    _Search,
     find_minor,
     model_from_json_dict,
     model_to_json_dict,
@@ -216,3 +223,183 @@ def test_spanning_kernel_matches_loop_reference():
             hits += want is not None
             misses += want is None
         assert hits and misses, p
+
+
+def numpy_state_key(search):
+    """Reference: the state key computed in numpy for every search.
+
+    Host automorphisms map fragments through byte lookup tables, a
+    complete pattern's rows are sorted, pattern automorphisms permute
+    columns, and the key is the bytes of the lexicographically least row.
+    """
+    host, pattern = search.host, search.pattern
+    complete = pattern.m == pattern.n * (pattern.n - 1) // 2
+    hauts = _automorphisms(host, 512)
+    hlut = None
+    if len(hauts) > 1:
+        step = max(1, len(hauts) // 32)
+        hlut = np.array([_mask_tables(perm, host.n) for perm in hauts[::step][:32]],
+                        dtype=np.uint64)
+    nblocks = (host.n + 7) // 8
+    pperms = None
+    if not complete:
+        pauts = _automorphisms(pattern, 512)
+        if len(pauts) > 1:
+            cap = max(1, 2048 // (1 if hlut is None else len(hlut)))
+            step = max(1, (len(pauts) + cap - 1) // cap)
+            pperms = np.array(pauts[::step][:cap], dtype=np.intp)
+    per = max(1, 64 // host.n)
+    packing = [range(lo, min(lo + per, pattern.n)) for lo in range(0, pattern.n, per)]
+
+    def key(frags):
+        if hlut is None and pperms is None:
+            return tuple(sorted(frags)) if complete else tuple(frags)
+        arr = np.array(frags, dtype=np.uint64)
+        if hlut is None:
+            rows = arr[None, :]
+        else:
+            idx = (arr & np.uint64(255)).astype(np.intp)
+            rows = hlut[:, 0, idx]
+            for b in range(1, nblocks):
+                idx = (arr >> np.uint64(8 * b) & np.uint64(255)).astype(np.intp)
+                rows = rows | hlut[:, b, idx]
+        if complete:
+            rows = np.sort(rows, axis=1)
+        elif pperms is not None:
+            rows = rows[:, pperms].reshape(-1, arr.size)
+        if rows.shape[0] == 1:
+            return rows[0].tobytes()
+        shift = np.uint64(host.n)
+        cand = None
+        for group in packing:
+            word = rows[:, group[0]] if cand is None else rows[cand, group[0]]
+            for c in group[1:]:
+                word = word << shift | (rows[:, c] if cand is None else rows[cand, c])
+            keep = word == word.min()
+            cand = np.flatnonzero(keep) if cand is None else cand[keep]
+            if cand.size == 1:
+                break
+        return rows[cand[0]].tobytes()
+
+    return key
+
+
+def reference_feasible(search, frags, free, pending, unseeded):
+    # reference: the pruning with Python sets and components recomputed
+    # at every call
+    comps = _free_components(free, search.adj)
+    cadj = [search._nbrmask(c) for c in comps]
+    feasible_comps = {}
+    for p in unseeded:
+        seeded_nbrs = [q for q in search.pnbrs[p] if frags[q]]
+        if seeded_nbrs:
+            ok = {ci for ci, cn in enumerate(cadj)
+                  if all(cn & frags[q] for q in seeded_nbrs)}
+            if not ok:
+                return False
+        else:
+            ok = set(range(len(comps)))
+        feasible_comps[p] = ok
+    for idx in pending:
+        i, j = search.pedges[idx]
+        fi, fj = frags[i], frags[j]
+        if fi and fj and not any(cn & fi and cn & fj for cn in cadj):
+            return False
+    left = sum(1 << p for p in unseeded)
+    while left:
+        grp = frontier = left & -left
+        while frontier:
+            grow = 0
+            for v in _bits(frontier):
+                grow |= search.pmask[v]
+            grow &= left & ~grp
+            grp |= grow
+            frontier = grow
+        left &= ~grp
+        members = list(_bits(grp))
+        if len(members) == 1:
+            continue
+        inter = set.intersection(*(feasible_comps[p] for p in members))
+        if not inter or max(bin(comps[ci]).count("1") for ci in inter) < len(members):
+            return False
+    return True
+
+
+class ReferenceSearch(_Search):
+    """The branch-set search with the reference key and pruning."""
+
+    def __init__(self, host, pattern, budget):
+        super().__init__(host, pattern, budget)
+        self.reference_key = numpy_state_key(self)
+
+    def _state_key(self, frags):
+        return self.reference_key(frags)
+
+    def _feasible(self, frags, free, pending, unseeded):
+        return reference_feasible(self, frags, free, pending, unseeded)
+
+
+def random_states(host, pattern, rng, count):
+    # disjoint fragments, some left empty, plus their images under host
+    # automorphisms and pattern relabellings, so equal keys occur
+    hauts = _automorphisms(host, 512)
+    pauts = _automorphisms(pattern, 512)
+    states = []
+    for _ in range(count):
+        frags = [0] * pattern.n
+        for v in range(host.n):
+            p = rng.randrange(2 * pattern.n)
+            if p < pattern.n:
+                frags[p] |= 1 << v
+        for p in rng.sample(range(pattern.n), rng.randrange(pattern.n)):
+            frags[p] = 0
+        states.append(frags)
+        h = rng.choice(hauts)
+        moved = [sum(1 << h[v] for v in _bits(f)) for f in frags]
+        states.append(moved)
+        q = rng.choice(pauts)
+        states.append([moved[q[c]] for c in range(pattern.n)])
+    return states
+
+
+def test_state_keys_match_numpy_reference():
+    q, j5 = families.q13_3(), families.jorgensen_family(5)
+    petersen = next(p for p in petersen_family() if p.n == 10)
+    rng = random.Random(2024)
+    for host, pattern in ((q, complete_graph(6)), (j5, complete_graph(6)), (q, petersen)):
+        search = _Search(host, pattern, None)
+        reference = numpy_state_key(search)
+        states = random_states(host, pattern, rng, 300)
+        new = [search._state_key(list(f)) for f in states]
+        ref = [reference(list(f)) for f in states]
+        # the two keys induce the same classes: equal exactly together
+        assert len(set(new)) == len(set(ref)) == len(set(zip(new, ref)))
+        assert len(set(ref)) < len(states)
+        full = (1 << host.n) - 1
+        for _ in range(200):
+            free = rng.getrandbits(host.n) & full
+            comps, nbrs = search._components(free)
+            assert comps == _free_components(free, search.adj)
+            assert nbrs == [search._nbrmask(c) for c in comps]
+            assert search._components(free) is search._components(free)
+
+
+def test_search_nodes_match_reference():
+    # the same nodes and failure memo as the numpy key and set pruning:
+    # complete, symmetric and asymmetric patterns, symmetric and
+    # asymmetric hosts, refutations and hits
+    family = petersen_family()
+    asymmetric_host = Graph(10, [(0, 4), (0, 5), (0, 6), (0, 7), (1, 2), (1, 8), (2, 3),
+                                 (2, 4), (2, 7), (3, 5), (3, 7), (3, 9), (4, 8), (5, 8)])
+    asymmetric_pattern = Graph(7, [(0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 5),
+                                   (2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 6), (4, 5),
+                                   (4, 6)])
+    assert len(_automorphisms(asymmetric_host)) == len(_automorphisms(asymmetric_pattern)) == 1
+    j1, j2, j3 = (families.jorgensen_family(i) for i in (1, 2, 3))
+    cases = [(j2, complete_graph(6)), (j1, family[1]), (j1, family[4]), (j3, family[6]),
+             (asymmetric_host, complete_graph(6)), (j1, asymmetric_pattern)]
+    for host, pattern in cases:
+        new, ref = _Search(host, pattern, None), ReferenceSearch(host, pattern, None)
+        got, want = new.run(), ref.run()
+        assert got == want
+        assert (new.nodes, len(new.failed)) == (ref.nodes, len(ref.failed)), (host.n, pattern.n)
