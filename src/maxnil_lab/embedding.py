@@ -20,6 +20,12 @@ A graph passing the test embeds linklessly: u goes above the plane, v
 below, straight edges down to their neighbors, and every two-component
 link is then split by panels. The test is sufficient, not necessary,
 so a False is silence rather than a linking certificate.
+
+The parity decider is exact. It fixes one drawing of the whole graph
+and asks, as a linear system over GF(2), for crossing changes between
+disjoint edges that make every pair of disjoint cycles link evenly.
+Such changes exist exactly when the graph is nIL; the returned set is
+a certificate that an independent replay over all cycle pairs checks.
 """
 
 from __future__ import annotations
@@ -34,7 +40,8 @@ from .graph import Edge, Graph, delete_vertices, deletion_mapping
 __all__ = [
     "RotationSystem", "CycleSide", "is_planar", "planar_embedding",
     "enumerate_cycles", "cycle_sides", "lemma21_condition",
-    "certify_nil_via_lemma21", "rotation_to_text", "rotation_from_text",
+    "certify_nil_via_lemma21", "linkless_clasps", "verify_linkless_certificate",
+    "rotation_to_text", "rotation_from_text",
 ]
 
 # simple-cycle enumeration cap; overflow raises UndecidedError
@@ -175,16 +182,19 @@ def planar_embedding(g: Graph) -> Optional[RotationSystem]:
     return RotationSystem(g, rotation)
 
 
-def enumerate_cycles(g: Graph, cap: int = CYCLE_CAP) -> Tuple[Tuple[int, ...], ...]:
+def enumerate_cycles(g: Graph, cap: int = CYCLE_CAP,
+                     max_len: Optional[int] = None) -> Tuple[Tuple[int, ...], ...]:
     """Every simple cycle, once up to rotation and reflection.
 
     Cycles come out with their smallest vertex first and the smaller of
     the two possible direction-defining neighbors second, in ascending
-    DFS order. More than ``cap`` cycles raises UndecidedError.
+    DFS order. With ``max_len`` set, only cycles of at most that many
+    vertices are listed. More than ``cap`` cycles raises UndecidedError.
     """
     out = []
     path: List[int] = []
     on_path = set()
+    limit = g.n if max_len is None else max_len
 
     def grow(root: int, last: int) -> None:
         for w in sorted(g.neighbors(last)):
@@ -193,7 +203,7 @@ def enumerate_cycles(g: Graph, cap: int = CYCLE_CAP) -> Tuple[Tuple[int, ...], .
                 if len(out) > cap:
                     raise UndecidedError(
                         f"more than {cap} cycles; raise the cap to enumerate")
-            elif w > root and w not in on_path:
+            elif w > root and w not in on_path and len(path) < limit:
                 path.append(w)
                 on_path.add(w)
                 grow(root, w)
@@ -325,6 +335,169 @@ def certify_nil_via_lemma21(g: Graph, u: int, v: int,
         if emb is None:
             return False
     return lemma21_condition(g, u, v, emb)
+
+
+Clasp = Tuple[Edge, Edge]
+
+
+def _chords_cross(e: Edge, f: Edge) -> bool:
+    """Chords between points 0..n-1 placed in order on a circle cross.
+
+    The four endpoints must be distinct.
+    """
+    a, b = e
+    return (a < f[0] < b) != (a < f[1] < b)
+
+
+def linkless_clasps(g: Graph) -> Optional[Tuple[Clasp, ...]]:
+    """Clasps that make every disjoint cycle pair link evenly, or None.
+
+    The reference drawing puts the vertices on a circle in index order,
+    draws edges as straight chords and passes the lower-indexed edge
+    over at each crossing. A clasp (e, f) is a crossing change between
+    disjoint edges e and f; it flips the linking parity of every pair
+    of disjoint cycles through e and f. Every embedding's mod-2 linking
+    function is that of the drawing plus a set of clasps, so the
+    returned set exists exactly when g embeds with every disjoint pair
+    linking evenly, which holds exactly when g is nIL.
+
+    One unknown per pair of disjoint edges; one equation per cycle C of
+    at most n/2 vertices against each fundamental cycle of g - V(C).
+    Of two disjoint cycles one has at most n/2 vertices, and linking
+    parity is additive in either cycle, so these equations imply the
+    rest. More than ``CYCLE_CAP`` such cycles raises UndecidedError.
+    Before returning, the solution is substituted into every equation
+    and a failure raises RuntimeError.
+    """
+    edges = g.edges
+    m = len(edges)
+    eid: List[Dict[int, int]] = [{} for _ in range(g.n)]
+    for k, (u, v) in enumerate(edges):
+        eid[u][v] = eid[v][u] = k
+    # table[i][j]: the bit of unknown {i, j} (bits from 1 up), plus bit 0,
+    # the right-hand side, when edge i crosses over edge j
+    clasps: List[Clasp] = []
+    table = [[0] * m for _ in range(m)]
+    for i, e in enumerate(edges):
+        for j in range(i + 1, m):
+            f = edges[j]
+            if e[0] in f or e[1] in f:
+                continue
+            clasps.append((e, f))
+            bit = 1 << len(clasps)
+            table[i][j] = bit | _chords_cross(e, f)
+            table[j][i] = bit
+    nbrs = [sorted(g.neighbors(v)) for v in range(g.n)]
+    rows: List[int] = []
+    pivots: Dict[int, int] = {}
+    for cyc in enumerate_cycles(g, cap=CYCLE_CAP, max_len=g.n // 2):
+        on = set(cyc)
+        # weight[f]: every unknown and over-crossing between C and edge f
+        weight = [0] * m
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            row_e = table[eid[a][b]]
+            for f in range(m):
+                weight[f] ^= row_e[f]
+        # spanning forest of g - V(C); acc[v] sums the tree path to v, so
+        # each non-tree edge closes a fundamental cycle summing to a row
+        acc: Dict[int, int] = {}
+        tree = set()
+        for root in range(g.n):
+            if root in on or root in acc:
+                continue
+            acc[root] = 0
+            queue = [root]
+            for v in queue:
+                for w in nbrs[v]:
+                    if w not in on and w not in acc:
+                        k = eid[v][w]
+                        acc[w] = acc[v] ^ weight[k]
+                        tree.add(k)
+                        queue.append(w)
+        for k, (u, v) in enumerate(edges):
+            if k in tree or u in on or v in on:
+                continue
+            row = acc[u] ^ acc[v] ^ weight[k]
+            rows.append(row)
+            while row > 1:
+                top = row.bit_length() - 1
+                if top not in pivots:
+                    pivots[top] = row
+                    break
+                row ^= pivots[top]
+            if row == 1:
+                return None
+    solution = _back_substitute(pivots)
+    for row in rows:
+        if (row & solution).bit_count() & 1:
+            raise RuntimeError("linkless certificate fails one of its equations")
+    return tuple(c for k, c in enumerate(clasps, start=1) if solution >> k & 1)
+
+
+def _back_substitute(pivots: Dict[int, int]) -> int:
+    """A solution of the echelon rows, bit 0 set, free unknowns zero.
+
+    Every row then has an even number of set bits in common with it.
+    """
+    solution = 1
+    for top in sorted(pivots):
+        if (pivots[top] & solution).bit_count() & 1:
+            solution |= 1 << top
+    return solution
+
+
+def verify_linkless_certificate(g: Graph, clasps: Sequence[Clasp]) -> bool:
+    """Replay a clasp set against every pair of disjoint cycles of g.
+
+    True when each pair links evenly in the reference drawing of
+    ``linkless_clasps`` after the clasps' crossing changes, which
+    proves g nIL. Independent of the solver: it lists all cycles,
+    finds crossings by the interleaving of sorted chord ends, and
+    counts those where the second cycle passes over, which has the
+    parity of the first passing over, since two closed plane curves
+    cross evenly. Clasps that are not pairs of disjoint edges of g make
+    the answer False.
+    """
+    edges = g.edges
+    rank = {e: i for i, e in enumerate(edges)}
+    # odd[i][j]: edge j of the second cycle passes over edge i of the
+    # first, or the pair is clasped, but not both
+    odd = [[False] * len(edges) for _ in edges]
+    for i, e in enumerate(edges):
+        for j, f in enumerate(edges[:i]):
+            if not set(e) & set(f):
+                ends = sorted(e + f)
+                odd[i][j] = (ends[0] in e) == (ends[2] in e)
+    for pair in clasps:
+        e, f = (tuple(sorted(x)) for x in pair)
+        if e not in rank or f not in rank or set(e) & set(f):
+            return False
+        i, j = rank[e], rank[f]
+        odd[i][j] = not odd[i][j]
+        odd[j][i] = not odd[j][i]
+    cycles = enumerate_cycles(g)
+    rings = [[rank[tuple(sorted(p))] for p in zip(c, c[1:] + c[:1])] for c in cycles]
+    # avoiding[v]: bitset of the cycles missing vertex v
+    avoiding = [0] * g.n
+    for k, cyc in enumerate(cycles):
+        for v in set(range(g.n)).difference(cyc):
+            avoiding[v] |= 1 << k
+    for k, cyc in enumerate(cycles):
+        later = -1 << (k + 1)
+        for v in cyc:
+            later &= avoiding[v]
+        while later:
+            low = later & -later
+            other = rings[low.bit_length() - 1]
+            later ^= low
+            parity = False
+            for i in rings[k]:
+                row = odd[i]
+                for j in other:
+                    parity ^= row[j]
+            if parity:
+                return False
+    return True
 
 
 def rotation_to_text(emb: RotationSystem) -> str:

@@ -15,7 +15,7 @@ deterministic. Only lists of more than one pattern are staged: a lone
 pattern's probe runs the same search as its rerun, so the K6 test
 searches exhaustively at once.
 
-Two sound shortcuts keep the exhaustive engines off easy hosts. A
+Three sound shortcuts keep the exhaustive engines off easy hosts. A
 graph with a vertex whose removal leaves it planar embeds linklessly,
 so it contains no family member and no K6 minor; apexness is tested
 per component before any search. And since every family member is
@@ -24,6 +24,21 @@ member iff one of the split sides (each keeping u, v and the edge uv)
 does: branch sets of a 3-connected pattern cannot straddle a 2-cut,
 and a fragment poking through {u, v} prunes back to its own side. Sums
 over an identified edge therefore decompose into their parts.
+
+The third decides linklessness by linear algebra over GF(2) on
+hosts above the lattice limit (``embedding.linkless_clasps``).
+Conway and Gordon ("Knots and links in spatial graphs", 1983) and
+Sachs (1983) show that every embedding of a family member has two
+disjoint cycles with odd linking number, and so has every embedding of
+a graph with such a minor. Robertson, Seymour and Thomas ("Sachs'
+linkless embedding conjecture", JCTB 64, 1995) show that a graph with
+no such minor embeds linklessly. So a host is nIL exactly when some
+embedding makes every disjoint cycle pair link evenly, which is a
+solvable linear system. When the system is consistent the host has no
+family member and no K6 minor, and the search is skipped. An
+inconsistent system only means the host is IL: the search still runs,
+to find the witness or, for K6, to decide. Too many cycles for the
+system leave the host to the search as well.
 
 Maxnility and K6-maximality scan one non-edge per orbit of Aut(G),
 the smallest one, in lexicographic order: adding two edges of one orbit
@@ -48,6 +63,7 @@ from typing import Dict, Optional, Tuple
 import networkx as nx
 
 from .canon import canonical_form
+from .embedding import linkless_clasps
 from .errors import UndecidedError
 from .formats import graph6_encode
 from .graph import (
@@ -183,10 +199,14 @@ def _search_any_minor(g: Graph, patterns, budget: Optional[int],
     Connected components are searched one by one in vertex order, small
     hosts through the partition lattice and larger ones pattern by
     pattern with the branch-set search. 3-connected pattern lists let
-    the host split at adjacent cut pairs first, and callers deciding
-    linklessness may enable the apex shortcut. When the caller set no
-    budget, a lattice overflow falls back to the branch-set search; a
-    caller budget is honored strictly and exhaustion propagates.
+    the host split at adjacent cut pairs first. Callers whose patterns
+    are all intrinsically linked may set ``linkless_shortcut``, which
+    enables the apex shortcut and, above the lattice limit, the linking
+    parity decider: a host either one shows nIL has none of the
+    patterns. When the caller set no budget, a lattice overflow falls
+    back to the branch-set search; a caller budget is honored strictly
+    and exhaustion propagates. Hosts decided by a shortcut spend no
+    budget.
 
     Completed unbudgeted refutations are cached by the host's canonical
     form and the pattern list, so isomorphic hosts (the repeated sides
@@ -250,6 +270,12 @@ def _search_connected(g: Graph, patterns, budget: Optional[int],
         except UndecidedError:
             if budget is not None:
                 raise
+    if linkless_shortcut:
+        try:
+            if linkless_clasps(g) is not None:
+                return None
+        except UndecidedError:
+            pass  # too many cycles for the parity system; the search decides
     # a lone pattern's probe would run the same deterministic search as
     # its exhaustive rerun, so only lists of several patterns are staged
     if budget is not None or len(patterns) == 1:
@@ -279,8 +305,11 @@ def is_intrinsically_linked(g: Graph, budget: Optional[int] = None) -> Tuple[boo
 
     With ``budget`` set, every underlying search is capped at that many
     steps and exhaustion raises UndecidedError instead of guessing.
-    Budgeted searches bypass the process-wide refutation cache, so the
-    outcome depends only on ``g`` and ``budget``.
+    Hosts decided by a shortcut (apex, linking parity) spend no budget,
+    so a nIL graph above the lattice limit that the parity decider
+    settles comes back nIL under any budget. Budgeted searches bypass
+    the process-wide refutation cache, so the outcome depends only on
+    ``g`` and ``budget``.
     """
     # every family member has 15 edges and at least 6 vertices
     if g.m < 15 or g.n < 6:
@@ -290,8 +319,8 @@ def is_intrinsically_linked(g: Graph, budget: Optional[int] = None) -> Tuple[boo
 
 
 def has_k6_minor(g: Graph, budget: Optional[int] = None) -> Tuple[bool, Optional[MinorModel]]:
-    # an apex graph embeds linklessly while K6 does not, so the apex
-    # shortcut inside the search is sound here as well
+    # a graph shown nIL by the apex or linking-parity shortcut has no K6
+    # minor, since K6 is IL, so both are sound here as well
     if g.m < 15 or g.n < 6:
         return False, None
     model = _search_any_minor(g, [complete_graph(6)], budget, linkless_shortcut=True)
@@ -438,7 +467,8 @@ def is_maximal_k6_minor_free(g: Graph, threads: Optional[int] = None,
     t0 = time.perf_counter()
     threads = _default_threads() if threads is None else max(1, threads)
     il, il_witness = is_intrinsically_linked(g, budget=budget)
-    has, witness = has_k6_minor(g, budget=budget)
+    # K6 is IL, so a nIL graph has no K6 minor
+    has, witness = has_k6_minor(g, budget=budget) if il else (False, None)
     report = VerificationReport(subject=g, il_status="IL" if il else "nIL",
                                 il_witness=il_witness, k6_has_minor=has, k6_witness=witness)
     if has:

@@ -12,13 +12,24 @@ from maxnil_lab.embedding import (
     enumerate_cycles,
     is_planar,
     lemma21_condition,
+    linkless_clasps,
     planar_embedding,
     rotation_from_text,
     rotation_to_text,
+    verify_linkless_certificate,
 )
 from maxnil_lab.errors import GraphError, UndecidedError
+from maxnil_lab.families import (
+    family_3n5,
+    fig7_graph,
+    graph_g,
+    jorgensen_family,
+    k5_sum_example,
+    q13_3,
+)
 from maxnil_lab.graph import (
     Graph,
+    add_edge,
     build_graph,
     complete_graph,
     complete_multipartite,
@@ -262,3 +273,89 @@ def test_disconnected_pole_complement():
     assert certify_nil_via_lemma21(g, 0, 1)
     il, _ = is_intrinsically_linked(g)
     assert not il
+
+
+def random_host(rng: random.Random) -> Graph:
+    n = rng.randrange(6, 11)
+    p = rng.uniform(0.35, 0.8)
+    return build_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)
+                           if rng.random() < p])
+
+
+def toggle_one_clasp(g: Graph, clasps):
+    """The clasp set with one clasp on a disjoint cycle pair toggled."""
+    cycles = enumerate_cycles(g)
+    c1, c2 = next((a, b) for a in cycles for b in cycles if not set(a) & set(b))
+    pair = frozenset((tuple(sorted(c1[:2])), tuple(sorted(c2[:2]))))
+    kept = {frozenset(c) for c in clasps}
+    return [tuple(sorted(c)) for c in kept ^ {pair}]
+
+
+def test_cycle_enumeration_length_bound():
+    g = complete_graph(6)
+    every = enumerate_cycles(g)
+    for bound in (3, 4, 5):
+        assert enumerate_cycles(g, max_len=bound) == tuple(
+            c for c in every if len(c) <= bound)
+    assert enumerate_cycles(g, max_len=2) == ()
+
+
+def test_parity_decider_agrees_with_minor_engine_on_random_hosts():
+    rng = random.Random(20261018)
+    verdicts = []
+    for _ in range(200):
+        g = random_host(rng)
+        il, _ = is_intrinsically_linked(g)
+        clasps = linkless_clasps(g)
+        assert (clasps is None) == il
+        if clasps is not None:
+            assert verify_linkless_certificate(g, clasps)
+        verdicts.append(il)
+    assert verdicts.count(True) >= 30 and verdicts.count(False) >= 30
+
+
+def test_parity_decider_rejects_every_petersen_family_member():
+    for member in petersen_family():
+        assert linkless_clasps(member) is None
+
+
+def test_parity_decider_certifies_named_nil_graphs():
+    hosts = [jorgensen_family(i) for i in range(7)]
+    hosts += [graph_g(), k5_sum_example(), fig7_graph(), q13_3()]
+    for g in hosts:
+        clasps = linkless_clasps(g)
+        assert clasps is not None
+        assert verify_linkless_certificate(g, clasps)
+        assert not verify_linkless_certificate(g, toggle_one_clasp(g, clasps))
+
+
+def test_parity_decider_rejects_named_il_graphs():
+    q = q13_3()
+    assert len(q.non_edges()) == 52
+    for e in q.non_edges():
+        assert linkless_clasps(add_edge(q, e)) is None
+    assert linkless_clasps(family_3n5(1)) is None
+
+
+def test_parity_decider_agrees_with_two_apex_certificate():
+    rng = random.Random(4141)
+    hosts = [jorgensen_family(i) for i in range(4)] + [graph_g(), fig7_graph()]
+    hosts += [random_host(rng) for _ in range(40)]
+    certified = 0
+    for g in hosts:
+        for u, v in g.non_edges():
+            if is_planar(delete_vertices(g, [u, v])) and certify_nil_via_lemma21(g, u, v):
+                assert linkless_clasps(g) is not None
+                certified += 1
+                break
+    assert certified >= 16
+
+
+def test_linkless_certificate_rejects_malformed_clasps():
+    g = q13_3()
+    assert verify_linkless_certificate(g, [])
+    e, f = g.edges[0], g.edges[1]
+    assert set(e) & set(f)
+    assert not verify_linkless_certificate(g, [(e, f)])
+    assert not verify_linkless_certificate(g, [((0, 2), g.edges[-1])])
+

@@ -18,11 +18,11 @@ import networkx as nx
 import pytest
 
 import maxnil_lab
-from maxnil_lab import linking
+from maxnil_lab import embedding, linking
 from maxnil_lab.canon import canonical_form, is_isomorphic
 from maxnil_lab.cliquesum import CliqueSumSpec, clique_sum
 from maxnil_lab.errors import UndecidedError
-from maxnil_lab.families import jorgensen_graph
+from maxnil_lab.families import graph_g, jorgensen_family, jorgensen_graph, q13_3
 from maxnil_lab.graph import (
     Graph,
     add_edge,
@@ -149,9 +149,14 @@ def test_il_is_minor_monotone_spot_checks():
 
 
 def test_budget_propagates():
-    # 13 vertices, so no family member can match before any merge happens
+    # Q(13,3) is nIL, so the linking-parity shortcut decides it without
+    # any search and spends no budget
+    q = circulant_graph(13, (1, 3))
+    assert is_intrinsically_linked(q, budget=1) == (False, None)
+    # adding an edge makes it IL; 13 vertices, so no family member can
+    # match before any merge happens and the search runs out
     with pytest.raises(UndecidedError):
-        is_intrinsically_linked(circulant_graph(13, (1, 3)), budget=1)
+        is_intrinsically_linked(add_edge(q, q.non_edges()[0]), budget=1)
     # a hit reached within the budget is still returned
     il, model = is_intrinsically_linked(kneser_5_2(), budget=1)
     assert il
@@ -218,6 +223,36 @@ def test_k6_maximality_reports():
     report = is_maximal_k6_minor_free(cycle_graph(6))
     assert report.k6_maximal_status == "not-maximal"
     assert report.k6_failing_edge == (0, 2)
+
+
+def test_k6_maximality_reuses_the_nil_verdict(monkeypatch):
+    # K6 is IL, so a nIL base has no K6 minor and the K6 test is only
+    # run on the augmented hosts; the reports are the ones computed
+    # when the base was searched for K6 as well
+    near = delete_edge(complete_graph(6), (0, 1))
+    want = {
+        "J": ("G^vnMs", 8, 21, "maximal", None),
+        "G": ("I^vjCdJ`g", 10, 25, "maximal", None),
+        "C5": ("Dhc", 5, 5, "not-maximal", [0, 2]),
+        "K6-e": ("E^~w", 6, 14, "maximal", None),
+    }
+    bases = {"J": jorgensen_graph(), "G": graph_g(), "C5": cycle_graph(5), "K6-e": near}
+    real = linking.has_k6_minor
+    for name, g in bases.items():
+        def guarded(h, budget=None, base=g):
+            assert h != base, "K6 test run on a nIL base"
+            return real(h, budget=budget)
+
+        with monkeypatch.context() as m:
+            m.setattr(linking, "has_k6_minor", guarded)
+            got = is_maximal_k6_minor_free(g, threads=1).to_dict(include_elapsed=False)
+        subject, n, m_, status, failing = want[name]
+        assert got == {
+            "subject": subject, "n": n, "m": m_, "il_status": "nIL", "il_witness": None,
+            "maxnil_status": None, "maxnil_failing_edge": None,
+            "k6_has_minor": False, "k6_witness": None,
+            "k6_maximal_status": status, "k6_failing_edge": failing,
+        }
 
 
 def test_report_json_is_stable_without_elapsed():
@@ -305,6 +340,39 @@ def test_edge_sum_decomposes_to_sides():
     assert verify_minor_model(k6_tail, model.pattern, model)
     assert model.pattern.n == 6
     assert all(6 not in bs for bs in model.branch_sets.values())
+
+
+def test_cycle_cap_overflow_falls_back_to_the_search(monkeypatch):
+    # with a tiny cycle cap the parity decider gives up on every host
+    # above the lattice limit, and the search decides with the same
+    # verdicts and witnesses
+    q = q13_3()
+    j5 = jorgensen_family(5)
+    cases = [(is_intrinsically_linked, add_edge(q, q.non_edges()[0])),
+             (has_k6_minor, complete_graph(13)),
+             (has_k6_minor, j5)]
+    want = [decide(g) for decide, g in cases]
+    assert want[2] == (False, None)
+    monkeypatch.setattr(embedding, "CYCLE_CAP", 2)
+    monkeypatch.setattr(linking, "_REFUTED", set())
+    with pytest.raises(UndecidedError):
+        embedding.linkless_clasps(j5)
+    searched = []
+
+    def recording_find_minor(g, pattern, budget=None):
+        searched.append(g)
+        return find_minor(g, pattern, budget=budget)
+
+    monkeypatch.setattr(linking, "find_minor", recording_find_minor)
+    for (decide, g), (il, model) in zip(cases, want):
+        got_il, got = decide(g)
+        assert got_il == il and g in searched
+        if model is None:
+            assert got is None
+        else:
+            assert got.pattern == model.pattern
+            assert got.branch_sets == model.branch_sets
+            assert got.edge_witnesses == model.edge_witnesses
 
 
 @pytest.mark.slow
@@ -399,8 +467,8 @@ def test_non_edge_orbit_representatives():
 def test_witness_replay_runs_under_optimize():
     # a corrupted model must still be caught when asserts are stripped
     script = """
-from maxnil_lab import linking, minors
-from maxnil_lab.graph import Graph, complete_graph, disjoint_union, path_graph
+from maxnil_lab import embedding, linking, minors
+from maxnil_lab.graph import Graph, circulant_graph, complete_graph, disjoint_union, path_graph
 from maxnil_lab.minors import MinorModel
 
 assert False, "asserts are not stripped"
@@ -430,6 +498,15 @@ for module, name, run in cases:
     except RuntimeError as exc:
         print(exc)
     setattr(module, name, original)
+
+# a parity solution with one pivot unknown flipped fails a pivot row,
+# so it fails one of the equations that row sums
+original = embedding._back_substitute
+embedding._back_substitute = lambda pivots: original(pivots) ^ (1 << min(pivots))
+try:
+    linking.is_intrinsically_linked(circulant_graph(13, (1, 3)))
+except RuntimeError as exc:
+    print(exc)
 """
     src = os.path.dirname(os.path.dirname(maxnil_lab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -441,4 +518,5 @@ for module, name, run in cases:
         "lattice witness does not replay against its host",
         "component witness does not replay against its host",
         "cut-pair witness does not replay against its host",
+        "linkless certificate fails one of its equations",
     ]
