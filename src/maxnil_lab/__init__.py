@@ -27,11 +27,9 @@ from maxnil_lab.embedding import (
     enumerate_cycles,
     is_planar,
     lemma21_condition,
-    linkless_clasps,
     planar_embedding,
     rotation_from_text,
     rotation_to_text,
-    verify_linkless_certificate,
 )
 from maxnil_lab.errors import (
     ConfigurationError,
@@ -135,7 +133,6 @@ __all__ = [
     "k4_sum_maxnil_predicate",
     "k5_sum_example",
     "lemma21_condition",
-    "linkless_clasps",
     "minimal_vertex_cuts",
     "petersen_family",
     "planar_embedding",
@@ -145,7 +142,6 @@ __all__ = [
     "rotation_to_text",
     "subdivide_edge",
     "theorem_main_graph",
-    "verify_linkless_certificate",
     "verify_minor_model",
     "vertex_connectivity",
 ]

@@ -195,9 +195,10 @@ def enumerate_cycles(g: Graph, cap: int = CYCLE_CAP,
     path: List[int] = []
     on_path = set()
     limit = g.n if max_len is None else max_len
+    nbrs = [sorted(g.neighbors(v)) for v in range(g.n)]
 
     def grow(root: int, last: int) -> None:
-        for w in sorted(g.neighbors(last)):
+        for w in nbrs[last]:
             if w == root and len(path) >= 3 and path[1] < path[-1]:
                 out.append(tuple(path))
                 if len(out) > cap:
@@ -366,8 +367,9 @@ def linkless_clasps(g: Graph) -> Optional[Tuple[Clasp, ...]]:
     Of two disjoint cycles one has at most n/2 vertices, and linking
     parity is additive in either cycle, so these equations imply the
     rest. More than ``CYCLE_CAP`` such cycles raises UndecidedError.
-    Before returning, the solution is substituted into every equation
-    and a failure raises RuntimeError.
+    Before returning, the solution is substituted into every equation,
+    built a second time, and a failure raises RuntimeError. None of
+    this work counts against a caller's search budget.
     """
     edges = g.edges
     m = len(edges)
@@ -388,47 +390,48 @@ def linkless_clasps(g: Graph) -> Optional[Tuple[Clasp, ...]]:
             table[i][j] = bit | _chords_cross(e, f)
             table[j][i] = bit
     nbrs = [sorted(g.neighbors(v)) for v in range(g.n)]
-    rows: List[int] = []
+    cycles = enumerate_cycles(g, cap=CYCLE_CAP, max_len=g.n // 2)
+
+    def equations():
+        for cyc in cycles:
+            on = set(cyc)
+            # weight[f]: every unknown and over-crossing between C and edge f
+            weight = [0] * m
+            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                weight = [x ^ y for x, y in zip(weight, table[eid[a][b]])]
+            # spanning forest of g - V(C); acc[v] sums the tree path to v, so
+            # each non-tree edge closes a fundamental cycle summing to a row
+            acc: Dict[int, int] = {}
+            tree = set()
+            for root in range(g.n):
+                if root in on or root in acc:
+                    continue
+                acc[root] = 0
+                queue = [root]
+                for v in queue:
+                    for w in nbrs[v]:
+                        if w not in on and w not in acc:
+                            k = eid[v][w]
+                            acc[w] = acc[v] ^ weight[k]
+                            tree.add(k)
+                            queue.append(w)
+            for k, (u, v) in enumerate(edges):
+                if k not in tree and u not in on and v not in on:
+                    yield acc[u] ^ acc[v] ^ weight[k]
+
     pivots: Dict[int, int] = {}
-    for cyc in enumerate_cycles(g, cap=CYCLE_CAP, max_len=g.n // 2):
-        on = set(cyc)
-        # weight[f]: every unknown and over-crossing between C and edge f
-        weight = [0] * m
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            row_e = table[eid[a][b]]
-            for f in range(m):
-                weight[f] ^= row_e[f]
-        # spanning forest of g - V(C); acc[v] sums the tree path to v, so
-        # each non-tree edge closes a fundamental cycle summing to a row
-        acc: Dict[int, int] = {}
-        tree = set()
-        for root in range(g.n):
-            if root in on or root in acc:
-                continue
-            acc[root] = 0
-            queue = [root]
-            for v in queue:
-                for w in nbrs[v]:
-                    if w not in on and w not in acc:
-                        k = eid[v][w]
-                        acc[w] = acc[v] ^ weight[k]
-                        tree.add(k)
-                        queue.append(w)
-        for k, (u, v) in enumerate(edges):
-            if k in tree or u in on or v in on:
-                continue
-            row = acc[u] ^ acc[v] ^ weight[k]
-            rows.append(row)
-            while row > 1:
-                top = row.bit_length() - 1
-                if top not in pivots:
-                    pivots[top] = row
-                    break
-                row ^= pivots[top]
-            if row == 1:
-                return None
+    for row in equations():
+        while row > 1:
+            top = row.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = row
+                break
+            row ^= pivots[top]
+        if row == 1:
+            return None
     solution = _back_substitute(pivots)
-    for row in rows:
+    # rebuilt rather than kept, so memory stays that of the cycle list
+    for row in equations():
         if (row & solution).bit_count() & 1:
             raise RuntimeError("linkless certificate fails one of its equations")
     return tuple(c for k, c in enumerate(clasps, start=1) if solution >> k & 1)

@@ -204,9 +204,12 @@ def _search_any_minor(g: Graph, patterns, budget: Optional[int],
     enables the apex shortcut and, above the lattice limit, the linking
     parity decider: a host either one shows nIL has none of the
     patterns. When the caller set no budget, a lattice overflow falls
-    back to the branch-set search; a caller budget is honored strictly
-    and exhaustion propagates. Hosts decided by a shortcut spend no
-    budget.
+    back to the branch-set search; a caller budget caps the lattice and
+    branch-set searches strictly and exhaustion propagates. Hosts
+    decided by a shortcut spend no budget, and the shortcuts' own work
+    is not counted against it: the parity decider runs unbudgeted on
+    every host that reaches it, IL or not, its short-cycle enumeration
+    bounded only by ``embedding.CYCLE_CAP``.
 
     Completed unbudgeted refutations are cached by the host's canonical
     form and the pattern list, so isomorphic hosts (the repeated sides
@@ -307,9 +310,13 @@ def is_intrinsically_linked(g: Graph, budget: Optional[int] = None) -> Tuple[boo
     steps and exhaustion raises UndecidedError instead of guessing.
     Hosts decided by a shortcut (apex, linking parity) spend no budget,
     so a nIL graph above the lattice limit that the parity decider
-    settles comes back nIL under any budget. Budgeted searches bypass
-    the process-wide refutation cache, so the outcome depends only on
-    ``g`` and ``budget``.
+    settles comes back nIL under any budget. The budget counts search
+    nodes only: the parity decider runs unbudgeted, IL host or not,
+    before the search of every host above the lattice limit that the
+    apex and cut-pair shortcuts leave open, and its short-cycle
+    enumeration is bounded only by ``embedding.CYCLE_CAP``. Budgeted
+    searches bypass the process-wide refutation cache, so the outcome
+    depends only on ``g`` and ``budget``.
     """
     # every family member has 15 edges and at least 6 vertices
     if g.m < 15 or g.n < 6:
