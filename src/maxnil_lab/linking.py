@@ -25,8 +25,9 @@ does: branch sets of a 3-connected pattern cannot straddle a 2-cut,
 and a fragment poking through {u, v} prunes back to its own side. Sums
 over an identified edge therefore decompose into their parts.
 
-The third decides linklessness by linear algebra over GF(2) on
-hosts above the lattice limit (``embedding.linkless_clasps``).
+The third decides linklessness by linear algebra over GF(2)
+(``embedding.linkless_clasps``) on every host the first two leave
+open, before the partition lattice or the branch-set search runs.
 Conway and Gordon ("Knots and links in spatial graphs", 1983) and
 Sachs (1983) show that every embedding of a family member has two
 disjoint cycles with odd linking number, and so has every embedding of
@@ -35,10 +36,11 @@ linkless embedding conjecture", JCTB 64, 1995) show that a graph with
 no such minor embeds linklessly. So a host is nIL exactly when some
 embedding makes every disjoint cycle pair link evenly, which is a
 solvable linear system. When the system is consistent the host has no
-family member and no K6 minor, and the search is skipped. An
-inconsistent system only means the host is IL: the search still runs,
-to find the witness or, for K6, to decide. Too many cycles for the
-system leave the host to the search as well.
+family member and no K6 minor, and no search runs. An inconsistent
+system only means the host is IL: the search still runs, to find the
+witness or, for K6, to decide. Too many cycles for the system leave
+the host to the search as well. No verdict is cached, so each one
+depends only on the host, the patterns and the budget.
 
 Maxnility and K6-maximality scan one non-edge per orbit of Aut(G),
 the smallest one, in lexicographic order: adding two edges of one orbit
@@ -60,10 +62,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-import networkx as nx
-
 from .canon import canonical_form
-from .embedding import linkless_clasps
+from .embedding import is_planar, linkless_clasps
 from .errors import UndecidedError
 from .formats import graph6_encode
 from .graph import (
@@ -72,6 +72,7 @@ from .graph import (
     add_edge,
     complete_graph,
     connected_components,
+    delete_vertex,
     induced_subgraph,
     triangle_to_y,
     y_to_triangle,
@@ -135,37 +136,7 @@ def _remap_component_model(model: MinorModel, verts: list) -> MinorModel:
 
 def _is_apex(g: Graph) -> bool:
     """True when deleting some single vertex leaves a planar graph."""
-    base = nx.Graph()
-    base.add_nodes_from(range(g.n))
-    base.add_edges_from(g.edges)
-    for v in range(g.n):
-        h = base.copy()
-        h.remove_node(v)
-        if nx.check_planarity(h, counterexample=False)[0]:
-            return True
-    return g.n == 0
-
-
-def _is_three_connected(g: Graph) -> bool:
-    if g.n < 4:
-        return False
-    verts = set(range(g.n))
-    for u in range(g.n):
-        for v in range(u + 1, g.n + 1):
-            drop = {u} if v == g.n else {u, v}
-            rest = verts - drop
-            start = min(rest)
-            seen = {start}
-            stack = [start]
-            while stack:
-                w = stack.pop()
-                for x in g.neighbors(w):
-                    if x in rest and x not in seen:
-                        seen.add(x)
-                        stack.append(x)
-            if seen != rest:
-                return False
-    return True
+    return g.n == 0 or any(is_planar(delete_vertex(g, v)) for v in range(g.n))
 
 
 def _adjacent_cut_pair(g: Graph) -> Optional[Edge]:
@@ -189,44 +160,28 @@ def _adjacent_cut_pair(g: Graph) -> Optional[Edge]:
     return None
 
 
-_REFUTED: set = set()
-
-
-def _search_any_minor(g: Graph, patterns, budget: Optional[int],
-                      linkless_shortcut: bool = False) -> Optional[MinorModel]:
+def _search_any_minor(g: Graph, patterns, budget: Optional[int]) -> Optional[MinorModel]:
     """First listed pattern occurring as a minor of g, with its model.
 
-    Connected components are searched one by one in vertex order, small
-    hosts through the partition lattice and larger ones pattern by
-    pattern with the branch-set search. 3-connected pattern lists let
-    the host split at adjacent cut pairs first. Callers whose patterns
-    are all intrinsically linked may set ``linkless_shortcut``, which
-    enables the apex shortcut and, above the lattice limit, the linking
-    parity decider: a host either one shows nIL has none of the
-    patterns. When the caller set no budget, a lattice overflow falls
-    back to the branch-set search; a caller budget caps the lattice and
-    branch-set searches strictly and exhaustion propagates. Hosts
-    decided by a shortcut spend no budget, and the shortcuts' own work
-    is not counted against it: the parity decider runs unbudgeted on
-    every host that reaches it, IL or not, its short-cycle enumeration
-    bounded only by ``embedding.CYCLE_CAP``.
-
-    Completed unbudgeted refutations are cached by the host's canonical
-    form and the pattern list, so isomorphic hosts (the repeated sides
-    of decomposed sums, above all) are refuted once per process. The
-    patterns key by their structure, without canonical forms, since
-    callers pass the same pattern graphs on every call. Budgeted
-    searches bypass that cache, neither reading nor writing it, so
-    whether a budget runs out depends only on the host and the budget,
-    never on what the process certified earlier. Positive verdicts are never cached: their witness models
-    are tied to one labeling.
+    Every pattern must be intrinsically linked and 3-connected, as the
+    Petersen family and K6 are. Connected components are searched one
+    by one in vertex order. Each is tried against the apex shortcut,
+    split at an adjacent cut pair, and given to the linking parity
+    decider; a host either shortcut shows nIL has none of the patterns.
+    What is left goes to the partition lattice up to 12 vertices and to
+    the branch-set search, pattern by pattern, above. A budget caps the
+    lattice and branch-set searches strictly and exhaustion propagates.
+    Hosts decided by a shortcut spend no budget, at any size, and the
+    shortcuts' own work is not counted against it: the parity decider
+    runs unbudgeted on every host that reaches it, IL or not, its
+    short-cycle enumeration bounded only by ``embedding.CYCLE_CAP``.
     """
     comps = connected_components(g)
     if len(comps) > 1:
         for comp in comps:
             verts = sorted(comp)
             sub = induced_subgraph(g, verts)
-            model = _search_any_minor(sub, patterns, budget, linkless_shortcut)
+            model = _search_any_minor(sub, patterns, budget)
             if model is not None:
                 model = _remap_component_model(model, verts)
                 if not verify_minor_model(g, model.pattern, model):
@@ -236,49 +191,36 @@ def _search_any_minor(g: Graph, patterns, budget: Optional[int],
     patterns = [p for p in patterns if p.n <= g.n and p.m <= g.m]
     if not patterns:
         return None
-    if budget is not None:
-        return _search_connected(g, patterns, budget, linkless_shortcut)
-    cache_key = (canonical_form(g), tuple(patterns))
-    if cache_key in _REFUTED:
-        return None
-    model = _search_connected(g, patterns, budget, linkless_shortcut)
-    if model is None and len(_REFUTED) < 100_000:
-        _REFUTED.add(cache_key)
-    return model
+    return _search_connected(g, patterns, budget)
 
 
-def _search_connected(g: Graph, patterns, budget: Optional[int],
-                      linkless_shortcut: bool) -> Optional[MinorModel]:
-    if linkless_shortcut and _is_apex(g):
+def _search_connected(g: Graph, patterns, budget: Optional[int]) -> Optional[MinorModel]:
+    if _is_apex(g):
         return None
-    if all(_is_three_connected(p) for p in patterns):
-        cut = _adjacent_cut_pair(g)
-        if cut is not None:
-            u, v = cut
-            others = [w for w in range(g.n) if w != u and w != v]
-            sub_wo = induced_subgraph(g, others)
-            for comp in connected_components(sub_wo):
-                verts = sorted({others[w] for w in comp} | {u, v})
-                side = induced_subgraph(g, verts)
-                model = _search_any_minor(side, patterns, budget, linkless_shortcut)
-                if model is not None:
-                    model = _remap_component_model(model, verts)
-                    if not verify_minor_model(g, model.pattern, model):
-                        raise RuntimeError("cut-pair witness does not replay against its host")
-                    return model
+    cut = _adjacent_cut_pair(g)
+    if cut is not None:
+        u, v = cut
+        others = [w for w in range(g.n) if w != u and w != v]
+        sub_wo = induced_subgraph(g, others)
+        for comp in connected_components(sub_wo):
+            verts = sorted({others[w] for w in comp} | {u, v})
+            side = induced_subgraph(g, verts)
+            model = _search_any_minor(side, patterns, budget)
+            if model is not None:
+                model = _remap_component_model(model, verts)
+                if not verify_minor_model(g, model.pattern, model):
+                    raise RuntimeError("cut-pair witness does not replay against its host")
+                return model
+        return None
+    try:
+        if linkless_clasps(g) is not None:
             return None
+    except UndecidedError:
+        pass  # too many cycles for the parity system; the search decides
     if g.n <= _LATTICE_LIMIT:
-        try:
-            return lattice_search(g, patterns, budget=budget)
-        except UndecidedError:
-            if budget is not None:
-                raise
-    if linkless_shortcut:
-        try:
-            if linkless_clasps(g) is not None:
-                return None
-        except UndecidedError:
-            pass  # too many cycles for the parity system; the search decides
+        # patterns have at least 6 vertices, so the lattice keeps at most
+        # sum_{k=6..12} S(12, k) = 2,134,122 partitions, below its class cap
+        return lattice_search(g, patterns, budget=budget)
     # a lone pattern's probe would run the same deterministic search as
     # its exhaustive rerun, so only lists of several patterns are staged
     if budget is not None or len(patterns) == 1:
@@ -309,28 +251,31 @@ def is_intrinsically_linked(g: Graph, budget: Optional[int] = None) -> Tuple[boo
     With ``budget`` set, every underlying search is capped at that many
     steps and exhaustion raises UndecidedError instead of guessing.
     Hosts decided by a shortcut (apex, linking parity) spend no budget,
-    so a nIL graph above the lattice limit that the parity decider
-    settles comes back nIL under any budget. The budget counts search
-    nodes only: the parity decider runs unbudgeted, IL host or not,
-    before the search of every host above the lattice limit that the
-    apex and cut-pair shortcuts leave open, and its short-cycle
-    enumeration is bounded only by ``embedding.CYCLE_CAP``. Budgeted
-    searches bypass the process-wide refutation cache, so the outcome
-    depends only on ``g`` and ``budget``.
+    at any size, so every nIL graph the parity decider settles comes
+    back nIL under any budget. The budget counts search nodes only: the
+    parity decider runs unbudgeted, IL host or not, before the search of
+    every host that the apex and cut-pair shortcuts leave open, and its
+    short-cycle enumeration is bounded only by ``embedding.CYCLE_CAP``.
+    The outcome depends only on ``g`` and ``budget``.
     """
     # every family member has 15 edges and at least 6 vertices
     if g.m < 15 or g.n < 6:
         return False, None
-    model = _search_any_minor(g, petersen_family(), budget, linkless_shortcut=True)
+    model = _search_any_minor(g, petersen_family(), budget)
     return (model is not None), model
 
 
 def has_k6_minor(g: Graph, budget: Optional[int] = None) -> Tuple[bool, Optional[MinorModel]]:
-    # a graph shown nIL by the apex or linking-parity shortcut has no K6
-    # minor, since K6 is IL, so both are sound here as well
+    """K6-minor verdict with a minor model as the witness.
+
+    K6 is IL, so a host the apex or linking-parity shortcut shows nIL
+    has no K6 minor and spends no budget, at any size. ``budget`` caps
+    the lattice and branch-set searches of the other hosts as in
+    ``is_intrinsically_linked``.
+    """
     if g.m < 15 or g.n < 6:
         return False, None
-    model = _search_any_minor(g, [complete_graph(6)], budget, linkless_shortcut=True)
+    model = _search_any_minor(g, [complete_graph(6)], budget)
     return (model is not None), model
 
 

@@ -112,7 +112,7 @@ def test_verify_empty_input(capsys, monkeypatch):
 
 
 def test_verify_budget_exhaustion(capsys, monkeypatch):
-    code, out, _ = run(capsys, monkeypatch, ["gen", "jorgensen"])
+    code, out, _ = run(capsys, monkeypatch, ["gen", "q13-3"])
     g6 = out.strip()
     code, _, err = run(capsys, monkeypatch,
                        ["verify", "--maxnil", "--budget", "1"], stdin=g6)

@@ -35,6 +35,7 @@ from maxnil_lab.graph import (
     disjoint_union,
     path_graph,
     triangle_to_y,
+    vertex_connectivity,
     y_to_triangle,
 )
 from maxnil_lab.linking import (
@@ -65,6 +66,8 @@ def test_family_shape():
     assert len(keys) == 7
     assert canonical_form(complete_multipartite(3, 3, 1)) in keys
     assert canonical_form(kneser_5_2()) in keys
+    # the cut-pair split in the IL and K6 tests relies on this
+    assert all(vertex_connectivity(g) >= 3 for g in fam)
 
 
 def test_family_closure_with_collapsing_moves_is_identical():
@@ -163,16 +166,40 @@ def test_budget_propagates():
     assert model.pattern.n == 10
 
 
-def test_budget_exhaustion_ignores_earlier_refutations():
-    # unbudgeted certifications leave J's refutations in the process-wide
-    # cache; a budgeted run must still search, and so still run out
-    j = jorgensen_graph()
-    assert is_maxnil(j).maxnil_status == "maxnil"
-    assert is_maximal_k6_minor_free(j).k6_maximal_status == "maximal"
+def test_budget_exhaustion_does_not_depend_on_earlier_certifications():
+    # unbudgeted certifications of Q(13,3) run first; a budgeted run must
+    # still search its augmentations, and so still run out
+    q = circulant_graph(13, (1, 3))
+    assert is_maxnil(q).maxnil_status == "maxnil"
+    assert is_maximal_k6_minor_free(q).k6_maximal_status == "maximal"
     with pytest.raises(UndecidedError):
-        is_maxnil(j, budget=1)
+        is_maxnil(q, budget=1)
     with pytest.raises(UndecidedError):
-        is_maximal_k6_minor_free(j, budget=1)
+        is_maximal_k6_minor_free(q, budget=1)
+
+
+def test_parity_decider_settles_small_nil_hosts_without_budget():
+    # the parity decider settles J's nIL base, and every J+e finds its
+    # witness in the lattice's first step, so a budget of 1 decides J
+    assert is_maxnil(jorgensen_graph(), budget=1).maxnil_status == "maxnil"
+
+
+def test_small_hosts_reach_no_lattice_refutation(monkeypatch):
+    # J_2 and G are nIL with at most 12 vertices: the parity decider
+    # settles them, so neither test runs the partition lattice
+    calls = []
+    lattice_search = linking.lattice_search
+
+    def recording_lattice_search(g, patterns, budget=None):
+        calls.append(g)
+        return lattice_search(g, patterns, budget=budget)
+
+    monkeypatch.setattr(linking, "lattice_search", recording_lattice_search)
+    for g in (jorgensen_family(2), graph_g()):
+        assert g.n <= 12
+        assert is_intrinsically_linked(g) == (False, None)
+        assert has_k6_minor(g) == (False, None)
+    assert calls == []
 
 
 def test_k6_minus_edge_is_maxnil():
@@ -354,7 +381,6 @@ def test_cycle_cap_overflow_falls_back_to_the_search(monkeypatch):
     want = [decide(g) for decide, g in cases]
     assert want[2] == (False, None)
     monkeypatch.setattr(embedding, "CYCLE_CAP", 2)
-    monkeypatch.setattr(linking, "_REFUTED", set())
     with pytest.raises(UndecidedError):
         embedding.linkless_clasps(j5)
     searched = []
@@ -377,8 +403,8 @@ def test_cycle_cap_overflow_falls_back_to_the_search(monkeypatch):
 
 @pytest.mark.slow
 def test_refutation_survives_relabeling():
-    # the refutation cache keys by canonical form, so an isomorphic
-    # relabeling must come back nIL without a second full search
+    # an isomorphic relabeling must come back nIL just as fast: the
+    # parity decider settles it without any search, cached or not
     q = circulant_graph(13, (1, 3))
     assert is_intrinsically_linked(q) == (False, None)
     perm = [(5 * v + 2) % 13 for v in range(13)]
