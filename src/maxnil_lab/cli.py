@@ -226,17 +226,8 @@ def _cmd_petersen(args) -> int:
 
 
 def _cmd_bounds_table(args) -> int:
-    needed = _FAMILIES[args.family][0]
-    raw = getattr(args, needed) if needed else None
-    if needed and raw is None:
-        if _FAMILIES[args.family][2] is None:
-            raise ConfigurationError(
-                f"family {args.family} requires --{needed}, e.g. --{needed} 13..24")
-        raw = str(_FAMILIES[args.family][2])
-    for flag in ("i", "n", "k"):
-        if flag != needed and getattr(args, flag) is not None:
-            raise ConfigurationError(f"family {args.family} does not take --{flag}")
-    lo, hi = _parse_range(raw) if needed else (0, 0)
+    needed, raw = _family_values(args)
+    lo, hi = _parse_range(str(raw)) if needed else (0, 0)
     build = _FAMILIES[args.family][1]
     graphs = [build(v if needed else None) for v in range(lo, hi + 1)]
     for row in bounds_table(graphs):

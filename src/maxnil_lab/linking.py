@@ -15,7 +15,7 @@ deterministic. Only lists of more than one pattern are staged: a lone
 pattern's probe runs the same search as its rerun, so the K6 test
 searches exhaustively at once.
 
-Three sound shortcuts keep the exhaustive engines off easy hosts. A
+Three sound shortcuts keep the branch-set search off easy hosts. A
 graph with a vertex whose removal leaves it planar embeds linklessly,
 so it contains no family member and no K6 minor; apexness is tested
 per component before any search. And since every family member is
@@ -27,7 +27,7 @@ over an identified edge therefore decompose into their parts.
 
 The third decides linklessness by linear algebra over GF(2)
 (``embedding.linkless_clasps``) on every host the first two leave
-open, before the partition lattice or the branch-set search runs.
+open, before the branch-set search runs.
 Conway and Gordon ("Knots and links in spatial graphs", 1983) and
 Sachs (1983) show that every embedding of a family member has two
 disjoint cycles with odd linking number, and so has every embedding of
@@ -41,6 +41,10 @@ system only means the host is IL: the search still runs, to find the
 witness or, for K6, to decide. Too many cycles for the system leave
 the host to the search as well. No verdict is cached, so each one
 depends only on the host, the patterns and the budget.
+
+Every host the shortcuts leave open goes to the one branch-set search,
+``minors.find_minor``, whatever its size. So every witness comes in one
+format, and a budget always counts branch-set search nodes.
 
 Maxnility and K6-maximality scan one non-edge per orbit of Aut(G),
 the smallest one, in lexicographic order: adding two edges of one orbit
@@ -80,15 +84,12 @@ from .graph import (
 from .minors import (
     MinorModel,
     find_minor,
-    lattice_search,
     model_to_json_dict,
     verify_minor_model,
 )
 
 # node budget for the first, cheap probe of each family member
 _STAGE_BUDGET = 20000
-# largest host order handled by the partition lattice decider
-_LATTICE_LIMIT = 12
 
 _PETERSEN: Optional[Tuple[Graph, ...]] = None
 
@@ -167,10 +168,10 @@ def _search_any_minor(g: Graph, patterns, budget: Optional[int]) -> Optional[Min
     Petersen family and K6 are. Connected components are searched one
     by one in vertex order. Each is tried against the apex shortcut,
     split at an adjacent cut pair, and given to the linking parity
-    decider; a host either shortcut shows nIL has none of the patterns.
-    What is left goes to the partition lattice up to 12 vertices and to
-    the branch-set search, pattern by pattern, above. A budget caps the
-    lattice and branch-set searches strictly and exhaustion propagates.
+    decider; a host a shortcut shows nIL has none of the patterns. What
+    is left goes to the branch-set search, pattern by pattern, at any
+    size. A budget caps the nodes of each branch-set search strictly and
+    exhaustion propagates.
     Hosts decided by a shortcut spend no budget, at any size, and the
     shortcuts' own work is not counted against it: the parity decider
     runs unbudgeted on every host that reaches it, IL or not, its
@@ -217,10 +218,6 @@ def _search_connected(g: Graph, patterns, budget: Optional[int]) -> Optional[Min
             return None
     except UndecidedError:
         pass  # too many cycles for the parity system; the search decides
-    if g.n <= _LATTICE_LIMIT:
-        # patterns have at least 6 vertices, so the lattice keeps at most
-        # sum_{k=6..12} S(12, k) = 2,134,122 partitions, below its class cap
-        return lattice_search(g, patterns, budget=budget)
     # a lone pattern's probe would run the same deterministic search as
     # its exhaustive rerun, so only lists of several patterns are staged
     if budget is not None or len(patterns) == 1:
@@ -249,13 +246,14 @@ def is_intrinsically_linked(g: Graph, budget: Optional[int] = None) -> Tuple[boo
     """IL verdict with a Petersen-family minor model as the witness.
 
     With ``budget`` set, every underlying search is capped at that many
-    steps and exhaustion raises UndecidedError instead of guessing.
+    nodes and exhaustion raises UndecidedError instead of guessing.
     Hosts decided by a shortcut (apex, linking parity) spend no budget,
     at any size, so every nIL graph the parity decider settles comes
-    back nIL under any budget. The budget counts search nodes only: the
-    parity decider runs unbudgeted, IL host or not, before the search of
-    every host that the apex and cut-pair shortcuts leave open, and its
-    short-cycle enumeration is bounded only by ``embedding.CYCLE_CAP``.
+    back nIL under any budget. The budget counts branch-set search nodes
+    only: the parity decider runs unbudgeted, IL host or not, before the
+    search of every host that the apex and cut-pair shortcuts leave
+    open, and its short-cycle enumeration is bounded only by
+    ``embedding.CYCLE_CAP``.
     The outcome depends only on ``g`` and ``budget``.
     """
     # every family member has 15 edges and at least 6 vertices
@@ -270,7 +268,7 @@ def has_k6_minor(g: Graph, budget: Optional[int] = None) -> Tuple[bool, Optional
 
     K6 is IL, so a host the apex or linking-parity shortcut shows nIL
     has no K6 minor and spends no budget, at any size. ``budget`` caps
-    the lattice and branch-set searches of the other hosts as in
+    the branch-set search nodes of the other hosts as in
     ``is_intrinsically_linked``.
     """
     if g.m < 15 or g.n < 6:

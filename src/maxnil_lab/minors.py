@@ -2,7 +2,7 @@
 
 A pattern P is a minor of a host H iff H carries disjoint connected
 branch sets, one per pattern vertex, with a host edge between the two
-sets of every pattern edge. Two complementary engines live here.
+sets of every pattern edge.
 
 ``find_minor`` grows branch sets by connector paths: it seeds one
 pattern vertex, then repeatedly picks an unwitnessed pattern edge with a
@@ -11,17 +11,6 @@ join the two fragments or found the missing one, splitting each path
 prefix/suffix between the two classes. Restricting to chordless
 connectors is complete: any valid connector inside a model shortcuts
 down to a chordless one that stays inside the same two branch sets.
-
-``lattice_search`` answers "does the host contain any of these patterns
-as a minor" for small connected hosts by breadth-first search over
-contraction partitions: partitions of the host vertices into connected
-blocks, refined one merge of adjacent blocks at a time. For a connected
-host, P is a minor iff some partition into exactly n(P) blocks has P as
-a spanning subgraph of its quotient (absorb unused vertices into
-adjacent branch sets), so each partition is tested once against every
-pattern of matching order, whatever their number. Partitions are keyed
-by their block bitmasks, which makes deduplication exact without any
-isomorphism work.
 
 Pruning uses the free-vertex components: every unwitnessed pair of
 seeded fragments needs a free component adjacent to both, every unseeded
@@ -54,17 +43,16 @@ answer.
 from __future__ import annotations
 
 import sys
-from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from .canon import automorphism_orbits
 from .errors import UndecidedError
 from .formats import graph6_decode, graph6_encode
 from .graph import Edge, Graph
 
-__all__ = ["MinorModel", "find_minor", "lattice_search", "verify_minor_model",
+__all__ = ["MinorModel", "find_minor", "verify_minor_model",
            "model_to_json_dict", "model_from_json_dict"]
 
 
@@ -666,156 +654,3 @@ def find_minor(host: Graph, pattern: Graph, budget: Optional[int] = None) -> Opt
     if not verify_minor_model(host, pattern, model):
         raise RuntimeError("branch-set witness does not replay against its host")
     return model
-
-
-def _placement(p: Graph) -> Tuple[list, list, list]:
-    """Search order of a pattern for ``_embed_spanning``.
-
-    Places next the vertex with the most already placed neighbors, so
-    adjacency prunes from the start. Returns the order, each position's
-    earlier neighbor positions and each position's degree.
-    """
-    order = []
-    placed: set = set()
-    left = set(range(p.n))
-    while left:
-        v = max(left, key=lambda u: (len(p.neighbors(u) & placed), p.degree(u), -u))
-        order.append(v)
-        placed.add(v)
-        left.remove(v)
-    pos = {v: t for t, v in enumerate(order)}
-    earlier = [[pos[w] for w in p.neighbors(order[t]) if pos[w] < t]
-               for t in range(p.n)]
-    pdeg_of_pos = [p.degree(order[t]) for t in range(p.n)]
-    return order, earlier, pdeg_of_pos
-
-
-def _embed_spanning(earlier: list, pdeg_of_pos: list, qadj: list) -> Optional[list]:
-    # bijection from pattern positions onto quotient vertices covering
-    # every pattern edge; each position's candidates are a bitmask,
-    # walked lowest bit first, so the first bijection found is the
-    # lexicographically least one
-    k = len(qadj)
-    qdeg = [bin(r).count("1") for r in qadj]
-    okdeg = [sum(1 << c for c in range(k) if qdeg[c] >= d) for d in pdeg_of_pos]
-    image = [0] * k
-
-    def rec(t: int, used: int) -> bool:
-        if t == k:
-            return True
-        cand = okdeg[t] & ~used
-        for s in earlier[t]:
-            cand &= qadj[image[s]]
-        while cand:
-            low = cand & -cand
-            image[t] = low.bit_length() - 1
-            if rec(t + 1, used | low):
-                return True
-            cand ^= low
-        return False
-
-    return image if rec(0, 0) else None
-
-
-def _lattice_model(host: Graph, adj: Tuple[int, ...], pattern: Graph,
-                   fibers: tuple, sigma: Dict[int, int]) -> MinorModel:
-    branch = {pv: frozenset(_bits(fibers[ci])) for pv, ci in sigma.items()}
-    witnesses = {}
-    for (i, j) in pattern.edges:
-        fj = fibers[sigma[j]]
-        for a in sorted(branch[i]):
-            hit = adj[a] & fj
-            if hit:
-                witnesses[(i, j)] = (a, (hit & -hit).bit_length() - 1)
-                break
-    return MinorModel(branch, witnesses, pattern)
-
-
-def lattice_search(host: Graph, patterns: Sequence[Graph], budget: Optional[int] = None,
-                   class_cap: int = 3_000_000) -> Optional[MinorModel]:
-    """First pattern found as a minor of a small connected host, with model.
-
-    The host must be connected; disconnected hosts lose partitions that
-    never merge across components, so callers decompose first. Patterns
-    of the same order are tried in the given order at each partition.
-    ``budget`` caps expanded partitions, and both exhaustion and
-    overflowing ``class_cap`` raise UndecidedError. Deterministic.
-    """
-    patterns = [p for p in patterns if p.n <= host.n and p.m <= host.m]
-    if not patterns or host.n == 0:
-        return None
-    adj = tuple(sum(1 << w for w in host.neighbors(v)) for v in range(host.n))
-    by_n: Dict[int, list] = {}
-    pdata = {}
-    for p in patterns:
-        by_n.setdefault(p.n, []).append(p)
-        degs = sorted((p.degree(v) for v in range(p.n)), reverse=True)
-        pdata[id(p)] = (*_placement(p), degs)
-    min_pn = min(p.n for p in patterns)
-    min_pm = min(p.m for p in patterns)
-
-    nbr_cache: Dict[int, int] = {}
-
-    def nbrs(mask: int) -> int:
-        got = nbr_cache.get(mask)
-        if got is None:
-            got = 0
-            for v in _bits(mask):
-                got |= adj[v]
-            nbr_cache[mask] = got
-        return got
-
-    start = tuple(1 << v for v in range(host.n))
-    seen = {start}
-    queue = deque([start])
-    steps = 0
-    while queue:
-        fibers = queue.popleft()
-        steps += 1
-        if budget is not None and steps > budget:
-            raise UndecidedError(
-                f"minor lattice exhausted its budget of {budget}")
-        k = len(fibers)
-        qadj = [0] * k
-        for a in range(k):
-            na = nbrs(fibers[a])
-            row = 0
-            for b in range(k):
-                if b != a and na & fibers[b]:
-                    row |= 1 << b
-            qadj[a] = row
-        mq = sum(bin(r).count("1") for r in qadj) // 2
-        if mq < min_pm:
-            continue
-        for p in by_n.get(k, []):
-            if p.m > mq:
-                continue
-            order, earlier, pdeg_of_pos, pdegs = pdata[id(p)]
-            qdegs = sorted((bin(r).count("1") for r in qadj), reverse=True)
-            if any(qd < pd for qd, pd in zip(qdegs, pdegs)):
-                continue
-            image = _embed_spanning(earlier, pdeg_of_pos, qadj)
-            if image is not None:
-                sigma = {order[t]: image[t] for t in range(k)}
-                model = _lattice_model(host, adj, p, fibers, sigma)
-                if not verify_minor_model(host, p, model):
-                    raise RuntimeError("lattice witness does not replay against its host")
-                return model
-        if k - 1 < min_pn:
-            continue
-        for a in range(k):
-            row = qadj[a] >> (a + 1)
-            for off in _bits(row):
-                b = a + 1 + off
-                merged = fibers[a] | fibers[b]
-                child = list(fibers)
-                del child[b]
-                child[a] = merged
-                child = tuple(sorted(child))
-                if child not in seen:
-                    if len(seen) >= class_cap:
-                        raise UndecidedError(
-                            f"minor lattice exceeded {class_cap} partition classes")
-                    seen.add(child)
-                    queue.append(child)
-    return None

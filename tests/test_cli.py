@@ -144,6 +144,18 @@ def test_bounds_table_text_and_json(capsys, monkeypatch):
     assert rec["m"] == 26 and rec["ratio"] == "2" and rec["below_target"]
 
 
+def test_bounds_table_parameter_validation(capsys, monkeypatch):
+    code, out, err = run(capsys, monkeypatch, ["bounds-table", "q-extension"])
+    assert code == 2 and out == ""
+    assert "requires --n" in err
+    code, out, err = run(capsys, monkeypatch, ["bounds-table", "q13-3", "--i", "1"])
+    assert code == 2 and out == ""
+    assert "does not take --i" in err
+    # a family with a default parameter needs no flag
+    code, out, _ = run(capsys, monkeypatch, ["bounds-table", "fig7"])
+    assert code == 0 and len(out.strip().splitlines()) == 1
+
+
 def test_export_roundtrip(capsys, monkeypatch):
     code, out, _ = run(capsys, monkeypatch, ["gen", "q13-3"])
     g6 = out.strip()

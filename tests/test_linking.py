@@ -156,14 +156,20 @@ def test_budget_propagates():
     # any search and spends no budget
     q = circulant_graph(13, (1, 3))
     assert is_intrinsically_linked(q, budget=1) == (False, None)
-    # adding an edge makes it IL; 13 vertices, so no family member can
-    # match before any merge happens and the search runs out
+    # adding an edge makes it IL, and the branch-set search for its
+    # witness runs out
     with pytest.raises(UndecidedError):
         is_intrinsically_linked(add_edge(q, q.non_edges()[0]), budget=1)
+    # the budget counts branch-set search nodes on every host, small
+    # ones too: the search for the Petersen graph's own witness takes
+    # 2,176 nodes on this labelling
+    with pytest.raises(UndecidedError):
+        is_intrinsically_linked(kneser_5_2(), budget=1)
     # a hit reached within the budget is still returned
-    il, model = is_intrinsically_linked(kneser_5_2(), budget=1)
+    il, model = is_intrinsically_linked(kneser_5_2(), budget=3000)
     assert il
     assert model.pattern.n == 10
+    assert verify_minor_model(kneser_5_2(), model.pattern, model)
 
 
 def test_budget_exhaustion_does_not_depend_on_earlier_certifications():
@@ -179,22 +185,24 @@ def test_budget_exhaustion_does_not_depend_on_earlier_certifications():
 
 
 def test_parity_decider_settles_small_nil_hosts_without_budget():
-    # the parity decider settles J's nIL base, and every J+e finds its
-    # witness in the lattice's first step, so a budget of 1 decides J
-    assert is_maxnil(jorgensen_graph(), budget=1).maxnil_status == "maxnil"
+    # the parity decider settles J's nIL base without spending budget,
+    # and the branch-set search finds the witness of each orbit
+    # representative J+e in 24 nodes
+    j = jorgensen_graph()
+    assert is_intrinsically_linked(j, budget=1) == (False, None)
+    assert is_maxnil(j, budget=24).maxnil_status == "maxnil"
 
 
-def test_small_hosts_reach_no_lattice_refutation(monkeypatch):
+def test_small_hosts_reach_no_minor_search(monkeypatch):
     # J_2 and G are nIL with at most 12 vertices: the parity decider
-    # settles them, so neither test runs the partition lattice
+    # settles them, so neither test runs the branch-set search
     calls = []
-    lattice_search = linking.lattice_search
 
-    def recording_lattice_search(g, patterns, budget=None):
+    def recording_find_minor(g, pattern, budget=None):
         calls.append(g)
-        return lattice_search(g, patterns, budget=budget)
+        return find_minor(g, pattern, budget=budget)
 
-    monkeypatch.setattr(linking, "lattice_search", recording_lattice_search)
+    monkeypatch.setattr(linking, "find_minor", recording_find_minor)
     for g in (jorgensen_family(2), graph_g()):
         assert g.n <= 12
         assert is_intrinsically_linked(g) == (False, None)
@@ -302,9 +310,20 @@ def test_has_k6_minor_in_supergraphs():
     assert has_k6_minor(kneser_5_2()) == (False, None)
 
 
+def test_dense_small_host_finds_k6_within_a_small_budget():
+    # K12 contains K6 as a subgraph, so the search for a K6 model
+    # should end within a few dozen nodes, not after a walk over
+    # contractions of the whole host
+    host = complete_graph(12)
+    has, model = has_k6_minor(host, budget=50)
+    assert has
+    assert verify_minor_model(host, model.pattern, model)
+
+
 def test_single_pattern_search_skips_the_staged_probe(monkeypatch):
-    # K13 is too big for the lattice, not apex and has no cut pair, so
-    # the K6 test reaches the branch-set search: one exhaustive call
+    # K13 is not apex and has no cut pair, and the parity decider finds
+    # it IL, so the K6 test reaches the branch-set search: one
+    # exhaustive call
     host = complete_graph(13)
     budgets = []
 
@@ -370,9 +389,8 @@ def test_edge_sum_decomposes_to_sides():
 
 
 def test_cycle_cap_overflow_falls_back_to_the_search(monkeypatch):
-    # with a tiny cycle cap the parity decider gives up on every host
-    # above the lattice limit, and the search decides with the same
-    # verdicts and witnesses
+    # with a tiny cycle cap the parity decider gives up on every host,
+    # and the search decides with the same verdicts and witnesses
     q = q13_3()
     j5 = jorgensen_family(5)
     cases = [(is_intrinsically_linked, add_edge(q, q.non_edges()[0])),
@@ -510,7 +528,6 @@ def corrupting(fn):
 k6, k7 = complete_graph(6), complete_graph(7)
 cases = [
     (minors, "_model_from_frags", lambda: minors.find_minor(k7, k6)),
-    (minors, "_lattice_model", lambda: minors.lattice_search(k7, [k6])),
     (linking, "_remap_component_model",
      lambda: linking.is_intrinsically_linked(disjoint_union(path_graph(3), k6))),
     (linking, "_remap_component_model",
@@ -541,7 +558,6 @@ except RuntimeError as exc:
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "branch-set witness does not replay against its host",
-        "lattice witness does not replay against its host",
         "component witness does not replay against its host",
         "cut-pair witness does not replay against its host",
         "linkless certificate fails one of its equations",

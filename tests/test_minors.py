@@ -22,10 +22,8 @@ from maxnil_lab.minors import (
     MinorModel,
     _automorphisms,
     _bits,
-    _embed_spanning,
     _free_components,
     _mask_tables,
-    _placement,
     _Search,
     find_minor,
     model_from_json_dict,
@@ -172,57 +170,6 @@ def test_minor_of_dense_random_hosts():
         # dense 10-vertex graphs essentially always have a K5 minor; verify when found
         if model is not None:
             assert verify_minor_model(g, K5, model)
-
-
-def embed_spanning_loop(order, earlier, pdeg_of_pos, qadj):
-    # reference: the candidate loop the bitmask kernel replaced
-    k = len(qadj)
-    qdeg = [bin(r).count("1") for r in qadj]
-    image = [-1] * k
-
-    def rec(t: int, used: int) -> bool:
-        if t == k:
-            return True
-        for c in range(k):
-            if used >> c & 1 or qdeg[c] < pdeg_of_pos[t]:
-                continue
-            if any(not qadj[c] >> image[s] & 1 for s in earlier[t]):
-                continue
-            image[t] = c
-            if rec(t + 1, used | 1 << c):
-                return True
-        image[t] = -1
-        return False
-
-    return image if rec(0, 0) else None
-
-
-def adjacency_rows(g):
-    return [sum(1 << w for w in g.neighbors(v)) for v in range(g.n)]
-
-
-def test_spanning_kernel_matches_loop_reference():
-    rng = random.Random(1207)
-    for p in petersen_family():
-        order, earlier, pdeg_of_pos = _placement(p)
-        hits = misses = 0
-        for trial in range(60):
-            if trial % 3 == 0:
-                # a relabelled copy of the pattern plus extra edges: a hit
-                perm = list(range(p.n))
-                rng.shuffle(perm)
-                edges = {tuple(sorted((perm[a], perm[b]))) for a, b in p.edges}
-                edges |= {e for e in itertools.combinations(range(p.n), 2)
-                          if rng.random() < 0.2}
-                q = Graph(p.n, sorted(edges))
-            else:
-                q = random_graph(p.n, rng.uniform(0.4, 0.9), rng)
-            qadj = adjacency_rows(q)
-            want = embed_spanning_loop(order, earlier, pdeg_of_pos, qadj)
-            assert _embed_spanning(earlier, pdeg_of_pos, qadj) == want
-            hits += want is not None
-            misses += want is None
-        assert hits and misses, p
 
 
 def numpy_state_key(search):
