@@ -17,9 +17,21 @@ seeded fragments needs a free component adjacent to both, every unseeded
 pattern vertex needs a free component adjacent to all of its seeded
 neighbors, and adjacent unseeded vertices must share a feasible
 component. Connector enumeration is confined to the components that can
-actually reach the goal. The free components and their neighborhoods
-are kept per free-vertex mask, since many states share one, and the
-feasibility sets are bitmasks of component indices. The first seed is
+actually reach the goal.
+
+A state with zero slack, as many free vertices as unseeded pattern
+vertices, is already fixed up to a bijection: each free vertex becomes
+the whole branch set of one unseeded vertex, and no seeded fragment
+grows. It is refuted when a pending edge joins two seeded fragments,
+when an unseeded vertex has no free vertex adjacent to all of its
+seeded neighbors, or when arc consistency along the pattern edges
+between unseeded vertices empties one of these candidate sets. This
+cuts only subtrees without a model and leaves the search order as it
+is, so the first model found does not change.
+
+The free components and their neighborhoods are kept per free-vertex
+mask, since many states share one, and the feasibility sets are
+bitmasks of component indices. The first seed is
 restricted to host orbit representatives, which is sound because any
 model maps to an equivalent one along an automorphism. States are keyed
 by their fragment tuple, minimized over pattern and host automorphisms,
@@ -368,7 +380,10 @@ class _Search:
         unseeded = [p for p, f in enumerate(frags) if not f]
         if not pending and not unseeded:
             return list(frags)
-        if free.bit_count() < len(unseeded):
+        slack = free.bit_count() - len(unseeded)
+        if slack < 0:
+            return None
+        if slack == 0 and self._zero_slack_refuted(frags, free, nb, pending, unseeded):
             return None
         if not self._feasible(frags, free, pending, unseeded):
             return None
@@ -381,6 +396,43 @@ class _Search:
         if got is None and len(self.failed) < 2_000_000:
             self.failed.add(key)
         return got
+
+    def _zero_slack_refuted(self, frags, free, nb, pending, unseeded) -> bool:
+        # as many free vertices as unseeded pattern vertices: each free
+        # vertex is the whole branch set of one unseeded vertex, and
+        # every seeded fragment is final
+        for idx in pending:
+            i, j = self.pedges[idx]
+            if frags[i] and frags[j]:
+                return True
+        # candidate vertices of each unseeded vertex: free vertices
+        # adjacent to all of its seeded neighbors
+        dom = {}
+        for q in unseeded:
+            d = free
+            for s in self.pnbrs[q]:
+                if frags[s]:
+                    d &= nb[s]
+            if not d:
+                return True
+            dom[q] = d
+        # arc consistency along pattern edges between unseeded vertices:
+        # a candidate of q needs a host neighbor among r's candidates
+        arcs = [(q, r) for q in unseeded for r in self.pnbrs[q] if not frags[r]]
+        changed = True
+        while changed:
+            changed = False
+            for q, r in arcs:
+                reach = 0
+                for v in _bits(dom[r]):
+                    reach |= self.adj[v]
+                d = dom[q] & reach
+                if d != dom[q]:
+                    if not d:
+                        return True
+                    dom[q] = d
+                    changed = True
+        return False
 
     def _branch(self, frags: list, free: int, nb: list, pending: list,
                 unseeded: list) -> Optional[list]:

@@ -23,6 +23,7 @@ from maxnil_lab.minors import (
     _automorphisms,
     _bits,
     _free_components,
+    _model_from_frags,
     _mask_tables,
     _Search,
     find_minor,
@@ -350,3 +351,72 @@ def test_search_nodes_match_reference():
         got, want = new.run(), ref.run()
         assert got == want
         assert (new.nodes, len(new.failed)) == (ref.nodes, len(ref.failed)), (host.n, pattern.n)
+
+
+def zero_slack_state(host, pattern, rng):
+    # connected fragments grown at random for some pattern vertices,
+    # leaving exactly as many free host vertices as unseeded ones
+    k = pattern.n
+    adj = [sum(1 << w for w in host.neighbors(v)) for v in range(host.n)]
+    unseeded = rng.randrange(min(k, 5) + 1)
+    seeded = rng.sample(range(k), k - unseeded)
+    frags = [0] * k
+    free = (1 << host.n) - 1
+    for p, v in zip(seeded, rng.sample(range(host.n), len(seeded))):
+        frags[p] = 1 << v
+        free &= ~(1 << v)
+    while free.bit_count() > unseeded:
+        grow = [(p, w) for p in seeded for w in _bits(free) if adj[w] & frags[p]]
+        if not grow:
+            return None
+        p, w = rng.choice(grow)
+        frags[p] |= 1 << w
+        free &= ~(1 << w)
+    return frags, free
+
+
+def completes(host, pattern, frags, free):
+    # brute force: some bijection from the unseeded pattern vertices to
+    # the free host vertices completes a model around the fixed fragments
+    unseeded = [p for p, f in enumerate(frags) if not f]
+    for image in itertools.permutations(_bits(free)):
+        full = list(frags)
+        for p, v in zip(unseeded, image):
+            full[p] = 1 << v
+        if verify_minor_model(host, pattern, _model_from_frags(host, pattern, full)):
+            return True
+    return False
+
+
+def test_zero_slack_refutation_is_sound():
+    # every zero-slack state the check refutes has no completion, found
+    # by trying every bijection onto the free vertices
+    rng = random.Random(909)
+    patterns = [complete_graph(6)] + list(petersen_family()[1:])
+    refuted = completed = 0
+    for _ in range(400):
+        pattern = rng.choice(patterns)
+        n = rng.randrange(max(7, pattern.n), 12)
+        host = random_graph(n, rng.uniform(0.3, 0.8), rng)
+        state = zero_slack_state(host, pattern, rng)
+        if state is None:
+            continue
+        frags, free = state
+        search = _Search(host, pattern, None)
+        nb = [search._nbrmask(f) if f else 0 for f in frags]
+        pending = [idx for idx, (i, j) in enumerate(search.pedges) if not nb[i] & frags[j]]
+        unseeded = [p for p, f in enumerate(frags) if not f]
+        if search._zero_slack_refuted(frags, free, nb, pending, unseeded):
+            refuted += 1
+            assert not completes(host, pattern, frags, free), (host.edges, frags)
+        elif completes(host, pattern, frags, free):
+            completed += 1
+    assert refuted > 100 and completed > 0, (refuted, completed)
+
+
+def test_q13_petersen_refutation_node_count():
+    # the zero-slack check prunes about half the nodes of this refutation
+    petersen = next(p for p in petersen_family() if p.n == 10)
+    search = _Search(families.q13_3(), petersen, None)
+    assert search.run() is None
+    assert search.nodes <= 100_000
