@@ -26,6 +26,9 @@ and asks, as a linear system over GF(2), for crossing changes between
 disjoint edges that make every pair of disjoint cycles link evenly.
 Such changes exist exactly when the graph is nIL; the returned set is
 a certificate that an independent replay over all cycle pairs checks.
+When they do not exist, the equations that sum to 0 = 1 name disjoint
+cycle pairs whose linking parities add up to odd in every embedding,
+a certificate of intrinsic linking with a replay of its own.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ __all__ = [
     "RotationSystem", "CycleSide", "is_planar", "planar_embedding",
     "enumerate_cycles", "cycle_sides", "lemma21_condition",
     "certify_nil_via_lemma21", "linkless_clasps", "verify_linkless_certificate",
+    "linked_certificate", "verify_linked_certificate",
     "rotation_to_text", "rotation_from_text",
 ]
 
@@ -339,6 +343,7 @@ def certify_nil_via_lemma21(g: Graph, u: int, v: int,
 
 
 Clasp = Tuple[Edge, Edge]
+CyclePair = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
 def _chords_cross(e: Edge, f: Edge) -> bool:
@@ -366,10 +371,71 @@ def linkless_clasps(g: Graph) -> Optional[Tuple[Clasp, ...]]:
     at most n/2 vertices against each fundamental cycle of g - V(C).
     Of two disjoint cycles one has at most n/2 vertices, and linking
     parity is additive in either cycle, so these equations imply the
-    rest. More than ``CYCLE_CAP`` such cycles raises UndecidedError.
+    rest. The cycles C come shortest first, a stable sort of
+    ``enumerate_cycles``' order, and each one's equations follow the
+    order of the non-tree edges closing its fundamental cycles. Short
+    cycles carry the Conway-Gordon-Sachs obstructions, so an IL host
+    reaches 0 = 1 after few equations; the order changes no verdict.
+    More than ``CYCLE_CAP`` such cycles raises UndecidedError.
     Before returning, the solution is substituted into every equation,
     built a second time, and a failure raises RuntimeError. None of
     this work counts against a caller's search budget.
+    """
+    return _solve_parity(g, certify=False)[0]
+
+
+def linked_certificate(g: Graph) -> Optional[Tuple[CyclePair, ...]]:
+    """Disjoint cycle pairs whose linking parities sum to odd, or None.
+
+    Solves the system of ``linkless_clasps``; None means it is
+    consistent, so g is nIL. Otherwise the elimination has summed
+    equations to 0 = 1, and the pairs (C, F) of those equations are
+    returned, C a short cycle and F a fundamental cycle of g - V(C).
+    In every embedding their linking parities add up to odd, so some
+    pair links oddly and g is IL; ``verify_linked_certificate`` checks
+    that without the solver. Raises UndecidedError like
+    ``linkless_clasps``.
+    """
+    return _solve_parity(g, certify=True)[1]
+
+
+def _forest_parents(nbrs: List[List[int]], on: set) -> Dict[int, int]:
+    """Parent of every vertex off ``on`` in a BFS spanning forest, roots -1.
+
+    Vertices come in BFS order, so each parent comes before its child.
+    """
+    parent: Dict[int, int] = {}
+    for root in range(len(nbrs)):
+        if root in on or root in parent:
+            continue
+        parent[root] = -1
+        queue = [root]
+        for v in queue:
+            for w in nbrs[v]:
+                if w not in on and w not in parent:
+                    parent[w] = v
+                    queue.append(w)
+    return parent
+
+
+def _fundamental_cycle(parent: Dict[int, int], u: int, v: int) -> Tuple[int, ...]:
+    """The cycle the non-tree edge uv closes with the forest's paths."""
+    up = [u]
+    while parent[up[-1]] >= 0:
+        up.append(parent[up[-1]])
+    depth = {w: i for i, w in enumerate(up)}
+    down = [v]
+    while down[-1] not in depth:
+        down.append(parent[down[-1]])
+    return tuple(up[:depth[down[-1]] + 1] + down[-2::-1])
+
+
+def _solve_parity(g: Graph, certify: bool) -> Tuple[Optional[Tuple[Clasp, ...]],
+                                                     Optional[Tuple[CyclePair, ...]]]:
+    """(clasps, None) when the parity system is consistent, else (None, pairs).
+
+    ``pairs`` is the odd-sum certificate with ``certify`` set, else None;
+    without it the elimination keeps no provenance.
     """
     edges = g.edges
     m = len(edges)
@@ -390,51 +456,73 @@ def linkless_clasps(g: Graph) -> Optional[Tuple[Clasp, ...]]:
             table[i][j] = bit | _chords_cross(e, f)
             table[j][i] = bit
     nbrs = [sorted(g.neighbors(v)) for v in range(g.n)]
-    cycles = enumerate_cycles(g, cap=CYCLE_CAP, max_len=g.n // 2)
+    cycles = sorted(enumerate_cycles(g, cap=CYCLE_CAP, max_len=g.n // 2), key=len)
 
     def equations():
-        for cyc in cycles:
+        """(cycle index, closing edge index, row) of every equation."""
+        for ci, cyc in enumerate(cycles):
             on = set(cyc)
             # weight[f]: every unknown and over-crossing between C and edge f
             weight = [0] * m
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 weight = [x ^ y for x, y in zip(weight, table[eid[a][b]])]
-            # spanning forest of g - V(C); acc[v] sums the tree path to v, so
-            # each non-tree edge closes a fundamental cycle summing to a row
+            # acc[v] sums the forest path to v, so each non-tree edge
+            # closes a fundamental cycle summing to a row
+            parent = _forest_parents(nbrs, on)
             acc: Dict[int, int] = {}
-            tree = set()
-            for root in range(g.n):
-                if root in on or root in acc:
-                    continue
-                acc[root] = 0
-                queue = [root]
-                for v in queue:
-                    for w in nbrs[v]:
-                        if w not in on and w not in acc:
-                            k = eid[v][w]
-                            acc[w] = acc[v] ^ weight[k]
-                            tree.add(k)
-                            queue.append(w)
+            for w, p in parent.items():
+                acc[w] = 0 if p < 0 else acc[p] ^ weight[eid[p][w]]
             for k, (u, v) in enumerate(edges):
-                if k not in tree and u not in on and v not in on:
-                    yield acc[u] ^ acc[v] ^ weight[k]
+                if u not in on and v not in on and parent[u] != v and parent[v] != u:
+                    yield ci, k, acc[u] ^ acc[v] ^ weight[k]
 
     pivots: Dict[int, int] = {}
-    for row in equations():
-        while row > 1:
-            top = row.bit_length() - 1
-            if top not in pivots:
-                pivots[top] = row
-                break
-            row ^= pivots[top]
-        if row == 1:
-            return None
+    if certify:
+        # combos[top]: bit b set when pivot-creating equation b, counted in
+        # creation order, is one of the equations that pivot row sums
+        combos: Dict[int, int] = {}
+        sources: List[Tuple[int, int]] = []
+        for ci, k, row in equations():
+            combo = 0
+            while row > 1:
+                top = row.bit_length() - 1
+                if top not in pivots:
+                    pivots[top] = row
+                    combos[top] = combo | 1 << len(sources)
+                    sources.append((ci, k))
+                    break
+                row ^= pivots[top]
+                combo ^= combos[top]
+            if row == 1:
+                summed = [s for b, s in enumerate(sources) if combo >> b & 1]
+                return None, _cycle_pairs(cycles, edges, nbrs, summed + [(ci, k)])
+    else:
+        for _, _, row in equations():
+            while row > 1:
+                top = row.bit_length() - 1
+                if top not in pivots:
+                    pivots[top] = row
+                    break
+                row ^= pivots[top]
+            if row == 1:
+                return None, None
     solution = _back_substitute(pivots)
     # rebuilt rather than kept, so memory stays that of the cycle list
-    for row in equations():
+    for _, _, row in equations():
         if (row & solution).bit_count() & 1:
             raise RuntimeError("linkless certificate fails one of its equations")
-    return tuple(c for k, c in enumerate(clasps, start=1) if solution >> k & 1)
+    return tuple(c for k, c in enumerate(clasps, start=1) if solution >> k & 1), None
+
+
+def _cycle_pairs(cycles, edges, nbrs, sources) -> Tuple[CyclePair, ...]:
+    """The (C, F) pair of each equation (cycle index, closing edge index)."""
+    parents: Dict[int, Dict[int, int]] = {}
+    pairs = []
+    for ci, k in sources:
+        if ci not in parents:
+            parents[ci] = _forest_parents(nbrs, set(cycles[ci]))
+        pairs.append((cycles[ci], _fundamental_cycle(parents[ci], *edges[k])))
+    return tuple(pairs)
 
 
 def _back_substitute(pivots: Dict[int, int]) -> int:
@@ -501,6 +589,48 @@ def verify_linkless_certificate(g: Graph, clasps: Sequence[Clasp]) -> bool:
             if parity:
                 return False
     return True
+
+
+def verify_linked_certificate(g: Graph, pairs: Sequence[CyclePair]) -> bool:
+    """Replay an odd-sum certificate; True proves g intrinsically linked.
+
+    Each pair must be two vertex-disjoint simple cycles of g. In any
+    embedding, the linking parity of such a pair (C, F) is the number of
+    crossings where an edge of C passes over an edge of F in the
+    reference drawing of ``linkless_clasps``, plus the number of clasps
+    between an edge of C and an edge of F. When every edge pair (e, f)
+    occurs in an even number of the pairs' products C x F, the clasps
+    cancel from the sum over the pairs, whatever the embedding; an odd
+    number of over-crossings then makes some pair link oddly in every
+    embedding. Independent of the solver: it finds crossings by the
+    interleaving of sorted chord ends and needs only that crossing
+    changes between disjoint edges relate any two embeddings' linking
+    parities.
+    """
+    rank = {e: i for i, e in enumerate(g.edges)}
+    products = set()
+    over = 0
+    for pair in pairs:
+        if len(pair) != 2:
+            return False
+        rings = []
+        for cyc in pair:
+            cyc = tuple(cyc)
+            if len(cyc) < 3 or len(set(cyc)) != len(cyc):
+                return False
+            ring = [(a, b) if a < b else (b, a) for a, b in zip(cyc, cyc[1:] + cyc[:1])]
+            if any(e not in rank for e in ring):
+                return False
+            rings.append(ring)
+        if set(pair[0]) & set(pair[1]):
+            return False
+        for e in rings[0]:
+            for f in rings[1]:
+                products ^= {(e, f) if rank[e] < rank[f] else (f, e)}
+                ends = sorted(e + f)
+                if rank[e] < rank[f] and (ends[0] in e) == (ends[2] in e):
+                    over += 1
+    return not products and over % 2 == 1
 
 
 def rotation_to_text(emb: RotationSystem) -> str:

@@ -36,11 +36,12 @@ linkless embedding conjecture", JCTB 64, 1995) show that a graph with
 no such minor embeds linklessly. So a host is nIL exactly when some
 embedding makes every disjoint cycle pair link evenly, which is a
 solvable linear system. When the system is consistent the host has no
-family member and no K6 minor, and no search runs. An inconsistent
-system only means the host is IL: the search still runs, to find the
-witness or, for K6, to decide. Too many cycles for the system leave
-the host to the search as well. No verdict is cached, so each one
-depends only on the host, the patterns and the budget.
+family member and no K6 minor, and no search runs. In the IL and K6
+tests an inconsistent system only means the host is IL: the search
+still runs, to find the witness or, for K6, to decide. Too many cycles
+for the system leave the host to the search as well. No verdict is
+cached, so each one depends only on the host, the patterns and the
+budget.
 
 Every host the shortcuts leave open goes to the one branch-set search,
 ``minors.find_minor``, whatever its size. So every witness comes in one
@@ -51,10 +52,22 @@ the smallest one, in lexicographic order: adding two edges of one orbit
 gives isomorphic hosts, so one search decides the whole orbit, and the
 smallest failing representative is the smallest failing edge. Orbits
 are exact, computed from canonical forms with the pair's endpoints
-marked. A budget applies to the search of each representative. A
-parallel mode may partition the representatives across processes;
-results are combined so the reported failing edge is the smallest one
-regardless of scheduling.
+marked. The maxnility scan decides each representative G+e by the
+parity system alone, without the apex and cut-pair shortcuts, which
+only reach the same verdict sooner on nIL hosts: reports carry no
+witness per added edge. A consistent system means G+e is nIL, so G is
+not maxnil. An inconsistent one comes with an odd-sum certificate
+(``embedding.linked_certificate``): disjoint cycle pairs whose linking
+parities add up to odd in every embedding. It is replayed by
+``embedding.verify_linked_certificate``, without the solver, and one
+that does not replay raises RuntimeError, also under ``python -O``.
+Only a host with too many cycles for the system goes to the full IL
+test, and the search. The K6-maximality scan runs ``has_k6_minor`` on
+every representative. A budget applies to the search of each
+representative, so a maxnility scan the parity system settles spends
+none of it. A parallel mode may partition the representatives across
+processes; results are combined so the reported failing edge is the
+smallest one regardless of scheduling.
 """
 
 from __future__ import annotations
@@ -67,7 +80,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .canon import canonical_form
-from .embedding import is_planar, linkless_clasps
+from .embedding import is_planar, linked_certificate, linkless_clasps, verify_linked_certificate
 from .errors import UndecidedError
 from .formats import graph6_encode
 from .graph import (
@@ -136,8 +149,14 @@ def _remap_component_model(model: MinorModel, verts: list) -> MinorModel:
 
 
 def _is_apex(g: Graph) -> bool:
-    """True when deleting some single vertex leaves a planar graph."""
-    return g.n == 0 or any(is_planar(delete_vertex(g, v)) for v in range(g.n))
+    """True when deleting some single vertex leaves a planar graph.
+
+    A planar graph on k >= 3 vertices has at most 3k - 6 edges, so a
+    deletion leaving more is skipped without a planarity test.
+    """
+    k = g.n - 1
+    return g.n == 0 or any(is_planar(delete_vertex(g, v)) for v in range(g.n)
+                           if k < 3 or g.m - g.degree(v) <= 3 * k - 6)
 
 
 def _adjacent_cut_pair(g: Graph) -> Optional[Edge]:
@@ -330,6 +349,24 @@ def _default_threads() -> int:
         return 1
 
 
+def _augmentation_is_linked(aug: Graph, budget: Optional[int]) -> bool:
+    """IL verdict for a scan host, by the parity system alone if it can.
+
+    An IL verdict must replay its odd-sum certificate; a certificate
+    that does not raises RuntimeError, also under ``python -O``. A host
+    with too many cycles for the system goes to the full IL test.
+    """
+    try:
+        pairs = linked_certificate(aug)
+    except UndecidedError:
+        return is_intrinsically_linked(aug, budget=budget)[0]
+    if pairs is None:
+        return False
+    if not verify_linked_certificate(aug, pairs):
+        raise RuntimeError("odd-sum certificate does not replay against its host")
+    return True
+
+
 def _scan_chunk(args) -> Tuple[str, Optional[Edge]]:
     g, edges, budget, k6_mode = args
     for e in edges:
@@ -338,7 +375,7 @@ def _scan_chunk(args) -> Tuple[str, Optional[Edge]]:
             if k6_mode:
                 hit, _ = has_k6_minor(aug, budget=budget)
             else:
-                hit, _ = is_intrinsically_linked(aug, budget=budget)
+                hit = _augmentation_is_linked(aug, budget)
         except UndecidedError:
             return ("undecided", e)
         if not hit:

@@ -112,12 +112,24 @@ def test_verify_empty_input(capsys, monkeypatch):
 
 
 def test_verify_budget_exhaustion(capsys, monkeypatch):
+    # each Q(13,3)+e has a K6 minor that the branch-set search must find
     code, out, _ = run(capsys, monkeypatch, ["gen", "q13-3"])
     g6 = out.strip()
     code, _, err = run(capsys, monkeypatch,
-                       ["verify", "--maxnil", "--budget", "1"], stdin=g6)
+                       ["verify", "--k6-maximal", "--budget", "1"], stdin=g6)
     assert code == 3
     assert "undecided" in err
+
+
+def test_verify_maxnil_scan_spends_no_budget(capsys, monkeypatch):
+    # the parity system settles Q(13,3) and every Q(13,3)+e, so no
+    # branch-set search runs and a budget of 1 suffices
+    code, out, _ = run(capsys, monkeypatch, ["gen", "q13-3"])
+    g6 = out.strip()
+    code, out, _ = run(capsys, monkeypatch,
+                       ["verify", "--maxnil", "--budget", "1"], stdin=g6)
+    assert code == 0
+    assert "maxnil: yes" in out
 
 
 def test_verify_slow_gate(capsys, monkeypatch):

@@ -12,10 +12,12 @@ from maxnil_lab.embedding import (
     enumerate_cycles,
     is_planar,
     lemma21_condition,
+    linked_certificate,
     linkless_clasps,
     planar_embedding,
     rotation_from_text,
     rotation_to_text,
+    verify_linked_certificate,
     verify_linkless_certificate,
 )
 from maxnil_lab.errors import GraphError, UndecidedError
@@ -310,6 +312,10 @@ def test_parity_decider_agrees_with_minor_engine_on_random_hosts():
         assert (clasps is None) == il
         if clasps is not None:
             assert verify_linkless_certificate(g, clasps)
+        pairs = linked_certificate(g)
+        assert (pairs is not None) == il
+        if pairs is not None:
+            assert verify_linked_certificate(g, pairs)
         verdicts.append(il)
     assert verdicts.count(True) >= 30 and verdicts.count(False) >= 30
 
@@ -359,3 +365,75 @@ def test_linkless_certificate_rejects_malformed_clasps():
     assert not verify_linkless_certificate(g, [(e, f)])
     assert not verify_linkless_certificate(g, [((0, 2), g.edges[-1])])
 
+
+
+def test_parity_decider_orders_cycles_shortest_first():
+    # certificate pairs come in equation order, and the equations take
+    # their short cycles C shortest first
+    q = q13_3()
+    for g in (complete_graph(8), add_edge(q, q.non_edges()[0])):
+        lengths = {len(c) for c in enumerate_cycles(g, max_len=g.n // 2)}
+        assert len(lengths) >= 2
+        sizes = [len(c) for c, _ in linked_certificate(g)]
+        assert sizes == sorted(sizes) and sizes[0] == min(lengths)
+
+
+def certificate_mutations(g: Graph, pairs):
+    """Named corruptions of an odd-sum certificate, none of which replays."""
+    c, f = pairs[0]
+    meeting = next(x for x in enumerate_cycles(g) if set(x) & set(c))
+    rest = pairs[1:]
+    yield "a dropped pair", rest
+    yield "a duplicated pair", pairs + pairs[:1]
+    yield "F meeting C", ((c, meeting),) + rest
+    yield "a closed walk repeating a vertex", ((c, f + f[:1]),) + rest
+    yield "a path of two vertices", ((c, f[:2]),) + rest
+    yield "a single cycle", ((c,),) + rest
+    yield "no pair at all", ()
+
+
+def test_linked_certificate_replays_and_rejects_mutations():
+    rng = random.Random(20261019)
+    checked = 0
+    for base in (jorgensen_family(1), graph_g(), q13_3(), fig7_graph()):
+        assert linked_certificate(base) is None
+        e1, e2 = rng.sample(base.non_edges(), 2)
+        host, other = add_edge(base, e1), add_edge(base, e2)
+        pairs = linked_certificate(host)
+        assert verify_linked_certificate(host, pairs)
+        # the base is nIL, so no certificate may replay against it, and
+        # one from another augmentation uses an edge the host lacks
+        assert not verify_linked_certificate(base, pairs)
+        assert not verify_linked_certificate(other, pairs)
+        for what, bad in certificate_mutations(host, pairs):
+            assert not verify_linked_certificate(host, bad), what
+            assert not verify_linked_certificate(base, bad), what
+            checked += 1
+    assert checked == 28
+
+
+def test_linked_certificate_rejects_meeting_cycles():
+    # two triangles through vertex 0 whose chords cross three times:
+    # listed both ways round, their products cancel and the crossings
+    # where one passes over the other add up to odd, yet K5 is nIL
+    k5 = complete_graph(5)
+    c, f = (0, 2, 4), (0, 3, 1)
+    assert linked_certificate(k5) is None
+    assert not verify_linked_certificate(k5, [(c, f), (f, c)])
+
+
+def test_linked_certificate_needs_every_pair():
+    # every pair's clasp products are nonempty, so dropping any one of
+    # them leaves an uncancelled clasp
+    q = q13_3()
+    host = add_edge(q, q.non_edges()[0])
+    pairs = linked_certificate(host)
+    assert len(pairs) >= 6
+    for i in range(len(pairs)):
+        assert not verify_linked_certificate(host, pairs[:i] + pairs[i + 1:])
+
+
+def test_linked_certificate_of_every_petersen_family_member():
+    for member in petersen_family():
+        pairs = linked_certificate(member)
+        assert verify_linked_certificate(member, pairs)

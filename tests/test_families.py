@@ -1,8 +1,8 @@
 """Family constructors: counts, self-checks, contraction identities.
 
-Certification of whole families is expensive, so the fast tests pin the
-structural facts (edge formulas, fold identities, designated non-edges)
-and the slow marks carry the minor-engine runs.
+The tests pin the structural facts (edge formulas, fold identities,
+designated non-edges); of the certifications of whole families, only
+those of J_1-J_3 and Q(13,3) are fast enough to run here.
 """
 
 import pytest
@@ -69,7 +69,6 @@ def test_jorgensen_base_certified_maxnil():
     assert rep.maxnil_status == "maxnil"
 
 
-@pytest.mark.slow
 def test_jorgensen_family_certified_maxnil():
     for i in (1, 2, 3):
         rep = is_maxnil(jorgensen_family(i))
@@ -134,7 +133,6 @@ def test_q13_3_structure():
     assert all(len(q.neighbors(v)) == 4 for v in range(13))
 
 
-@pytest.mark.slow
 def test_q13_3_certified_maxnil():
     rep = is_maxnil(q13_3())
     assert rep.il_status == "nIL"

@@ -32,6 +32,7 @@ from maxnil_lab.graph import (
     complete_multipartite,
     cycle_graph,
     delete_edge,
+    delete_vertex,
     disjoint_union,
     path_graph,
     triangle_to_y,
@@ -172,21 +173,25 @@ def test_budget_propagates():
 
 
 def test_budget_exhaustion_does_not_depend_on_earlier_certifications():
-    # unbudgeted certifications of Q(13,3) run first; a budgeted run must
-    # still search its augmentations, and so still run out
+    # unbudgeted certifications of Q(13,3) run first; a budgeted K6 scan
+    # must still search its augmentations for K6, and so still run out
     q = circulant_graph(13, (1, 3))
-    assert is_maxnil(q).maxnil_status == "maxnil"
+    want = is_maxnil(q)
+    assert want.maxnil_status == "maxnil"
     assert is_maximal_k6_minor_free(q).k6_maximal_status == "maximal"
-    with pytest.raises(UndecidedError):
-        is_maxnil(q, budget=1)
+    # the maxnil scan settles every Q(13,3)+e by the parity system,
+    # which spends no budget
+    assert is_maxnil(q, budget=1).to_dict(include_elapsed=False) == \
+        want.to_dict(include_elapsed=False)
     with pytest.raises(UndecidedError):
         is_maximal_k6_minor_free(q, budget=1)
 
 
 def test_parity_decider_settles_small_nil_hosts_without_budget():
     # the parity decider settles J's nIL base without spending budget,
-    # and the branch-set search finds the witness of each orbit
-    # representative J+e in 24 nodes
+    # and the maxnility scan settles each orbit representative J+e by
+    # the parity system too (the IL test's search for the witness of
+    # J+e takes 24 nodes)
     j = jorgensen_graph()
     assert is_intrinsically_linked(j, budget=1) == (False, None)
     assert is_maxnil(j, budget=24).maxnil_status == "maxnil"
@@ -207,6 +212,47 @@ def test_small_hosts_reach_no_minor_search(monkeypatch):
         assert is_intrinsically_linked(g) == (False, None)
         assert has_k6_minor(g) == (False, None)
     assert calls == []
+
+
+def test_maxnil_scan_reaches_no_minor_search(monkeypatch):
+    # every orbit representative G+e of these scans is IL, and the
+    # parity system decides it with a certificate, so no branch-set
+    # search runs at all
+    calls = []
+
+    def recording_find_minor(g, pattern, budget=None):
+        calls.append(g)
+        return find_minor(g, pattern, budget=budget)
+
+    monkeypatch.setattr(linking, "find_minor", recording_find_minor)
+    for g in [jorgensen_family(i) for i in range(3)] + [graph_g(), q13_3()]:
+        assert is_maxnil(g).maxnil_status == "maxnil"
+    assert calls == []
+
+
+def test_maxnil_scan_replays_every_certificate(monkeypatch):
+    # every IL verdict of the scan comes from a certificate that replays
+    replayed = []
+
+    def recording_verify(g, pairs):
+        ok = embedding.verify_linked_certificate(g, pairs)
+        replayed.append(ok)
+        return ok
+
+    monkeypatch.setattr(linking, "verify_linked_certificate", recording_verify)
+    reps = [e for e, rep in linking._non_edge_orbits(q13_3()).items() if e == rep]
+    assert is_maxnil(q13_3()).maxnil_status == "maxnil"
+    assert replayed == [True] * len(reps)
+
+
+def test_maxnil_scan_rejects_a_certificate_that_does_not_replay(monkeypatch):
+    def dropping_one(g):
+        pairs = embedding.linked_certificate(g)
+        return pairs[1:] if pairs else pairs
+
+    monkeypatch.setattr(linking, "linked_certificate", dropping_one)
+    with pytest.raises(RuntimeError, match="odd-sum certificate"):
+        is_maxnil(jorgensen_graph())
 
 
 def test_k6_minus_edge_is_maxnil():
@@ -357,6 +403,23 @@ def test_apex_graphs_are_not_linked():
     assert has_k6_minor(apex) == (False, None)
 
 
+def test_apex_euler_filter_matches_the_unfiltered_definition():
+    # the filter only skips deletions that Euler's bound already shows
+    # nonplanar, so the verdict is that of testing every vertex
+    rng = random.Random(20261019)
+    verdicts = []
+    for trial in range(150):
+        n = trial % 5 if trial < 25 else rng.randrange(5, 11)
+        p = rng.uniform(0.3, 0.95)
+        g = build_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)
+                            if rng.random() < p])
+        want = g.n == 0 or any(embedding.is_planar(delete_vertex(g, v))
+                               for v in range(g.n))
+        assert linking._is_apex(g) == want
+        verdicts.append(want)
+    assert verdicts.count(True) >= 30 and verdicts.count(False) >= 30
+
+
 def test_edge_sum_decomposes_to_sides():
     # two K6 minus an edge sharing the edge (2,3): both sides are nIL
     # and the whole stays nIL; gluing K6 itself onto a triangle instead
@@ -418,7 +481,27 @@ def test_cycle_cap_overflow_falls_back_to_the_search(monkeypatch):
             assert got.edge_witnesses == model.edge_witnesses
 
 
-@pytest.mark.slow
+def test_cycle_cap_overflow_in_the_scan_falls_back_to_the_search(monkeypatch):
+    # with a tiny cycle cap the scan cannot use the parity system, and
+    # the full IL test decides each representative, through the search,
+    # with the same reports
+    cases = [jorgensen_graph(), delete_edge(jorgensen_graph(), (0, 2))]
+    want = [is_maxnil(g).to_dict(include_elapsed=False) for g in cases]
+    assert [w["maxnil_status"] for w in want] == ["maxnil", "not-maxnil"]
+    monkeypatch.setattr(embedding, "CYCLE_CAP", 2)
+    searched = []
+
+    def recording_find_minor(g, pattern, budget=None):
+        searched.append(g)
+        return find_minor(g, pattern, budget=budget)
+
+    monkeypatch.setattr(linking, "find_minor", recording_find_minor)
+    for g, report in zip(cases, want):
+        searched.clear()
+        assert is_maxnil(g).to_dict(include_elapsed=False) == report
+        assert searched
+
+
 def test_refutation_survives_relabeling():
     # an isomorphic relabeling must come back nIL just as fast: the
     # parity decider settles it without any search, cached or not
@@ -549,6 +632,15 @@ try:
     linking.is_intrinsically_linked(circulant_graph(13, (1, 3)))
 except RuntimeError as exc:
     print(exc)
+embedding._back_substitute = original
+
+# an odd-sum certificate with one pair dropped no longer replays
+original = embedding.linked_certificate
+linking.linked_certificate = lambda g: original(g)[1:]
+try:
+    linking.is_maxnil(circulant_graph(13, (1, 3)))
+except RuntimeError as exc:
+    print(exc)
 """
     src = os.path.dirname(os.path.dirname(maxnil_lab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -560,4 +652,5 @@ except RuntimeError as exc:
         "component witness does not replay against its host",
         "cut-pair witness does not replay against its host",
         "linkless certificate fails one of its equations",
+        "odd-sum certificate does not replay against its host",
     ]
