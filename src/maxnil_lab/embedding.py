@@ -477,35 +477,29 @@ def _solve_parity(g: Graph, certify: bool) -> Tuple[Optional[Tuple[Clasp, ...]],
                     yield ci, k, acc[u] ^ acc[v] ^ weight[k]
 
     pivots: Dict[int, int] = {}
-    if certify:
-        # combos[top]: bit b set when pivot-creating equation b, counted in
-        # creation order, is one of the equations that pivot row sums
-        combos: Dict[int, int] = {}
-        sources: List[Tuple[int, int]] = []
-        for ci, k, row in equations():
-            combo = 0
-            while row > 1:
-                top = row.bit_length() - 1
-                if top not in pivots:
-                    pivots[top] = row
+    # combos[top]: bit b set when pivot-creating equation b, counted in
+    # creation order, is one of the equations that pivot row sums; kept
+    # only with ``certify`` set
+    combos: Dict[int, int] = {}
+    sources: List[Tuple[int, int]] = []
+    for ci, k, row in equations():
+        combo = 0
+        while row > 1:
+            top = row.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = row
+                if certify:
                     combos[top] = combo | 1 << len(sources)
                     sources.append((ci, k))
-                    break
-                row ^= pivots[top]
+                break
+            row ^= pivots[top]
+            if certify:
                 combo ^= combos[top]
-            if row == 1:
-                summed = [s for b, s in enumerate(sources) if combo >> b & 1]
-                return None, _cycle_pairs(cycles, edges, nbrs, summed + [(ci, k)])
-    else:
-        for _, _, row in equations():
-            while row > 1:
-                top = row.bit_length() - 1
-                if top not in pivots:
-                    pivots[top] = row
-                    break
-                row ^= pivots[top]
-            if row == 1:
+        if row == 1:
+            if not certify:
                 return None, None
+            summed = [s for b, s in enumerate(sources) if combo >> b & 1]
+            return None, _cycle_pairs(cycles, edges, nbrs, summed + [(ci, k)])
     solution = _back_substitute(pivots)
     # rebuilt rather than kept, so memory stays that of the cycle list
     for _, _, row in equations():

@@ -52,13 +52,16 @@ the smallest one, in lexicographic order: adding two edges of one orbit
 gives isomorphic hosts, so one search decides the whole orbit, and the
 smallest failing representative is the smallest failing edge. Orbits
 are exact, computed from canonical forms with the pair's endpoints
-marked. The maxnility scan decides each representative G+e by the
-parity system alone, without the apex and cut-pair shortcuts, which
-only reach the same verdict sooner on nIL hosts: reports carry no
-witness per added edge. A consistent system means G+e is nIL, so G is
-not maxnil. An inconsistent one comes with an odd-sum certificate
-(``embedding.linked_certificate``): disjoint cycle pairs whose linking
-parities add up to odd in every embedding. It is replayed by
+marked. The maxnility scan decides each representative G+e without
+the branch-set search, since reports carry no witness per added edge.
+When G is apex, an apex G+e is nIL at once; when G is not, no G+e is
+apex and the test is skipped. A host splitting at an adjacent cut pair
+is decided side by side, each side by its own, smaller parity system;
+any other host is its own one side. A consistent system on every side
+means G+e is nIL, so G is not maxnil. An inconsistent one comes with
+an odd-sum certificate (``embedding.linked_certificate``): disjoint
+cycle pairs whose linking parities add up to odd in every embedding.
+Relabelled into G+e, it is replayed against the whole host by
 ``embedding.verify_linked_certificate``, without the solver, and one
 that does not replay raises RuntimeError, also under ``python -O``.
 Only a host with too many cycles for the system goes to the full IL
@@ -80,7 +83,13 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .canon import canonical_form
-from .embedding import is_planar, linked_certificate, linkless_clasps, verify_linked_certificate
+from .embedding import (
+    CyclePair,
+    is_planar,
+    linked_certificate,
+    linkless_clasps,
+    verify_linked_certificate,
+)
 from .errors import UndecidedError
 from .formats import graph6_encode
 from .graph import (
@@ -180,6 +189,14 @@ def _adjacent_cut_pair(g: Graph) -> Optional[Edge]:
     return None
 
 
+def _cut_pair_sides(g: Graph, cut: Edge):
+    """Sorted vertex list of each side of g at a cut pair, keeping both ends."""
+    u, v = cut
+    others = [w for w in range(g.n) if w != u and w != v]
+    for comp in connected_components(induced_subgraph(g, others)):
+        yield sorted({others[w] for w in comp} | {u, v})
+
+
 def _search_any_minor(g: Graph, patterns, budget: Optional[int]) -> Optional[MinorModel]:
     """First listed pattern occurring as a minor of g, with its model.
 
@@ -219,11 +236,7 @@ def _search_connected(g: Graph, patterns, budget: Optional[int]) -> Optional[Min
         return None
     cut = _adjacent_cut_pair(g)
     if cut is not None:
-        u, v = cut
-        others = [w for w in range(g.n) if w != u and w != v]
-        sub_wo = induced_subgraph(g, others)
-        for comp in connected_components(sub_wo):
-            verts = sorted({others[w] for w in comp} | {u, v})
+        for verts in _cut_pair_sides(g, cut):
             side = induced_subgraph(g, verts)
             model = _search_any_minor(side, patterns, budget)
             if model is not None:
@@ -349,15 +362,39 @@ def _default_threads() -> int:
         return 1
 
 
-def _augmentation_is_linked(aug: Graph, budget: Optional[int]) -> bool:
-    """IL verdict for a scan host, by the parity system alone if it can.
+def _linked_pairs(g: Graph) -> Optional[Tuple[CyclePair, ...]]:
+    """Odd-sum certificate of g from the parity system, or None if g is nIL.
 
-    An IL verdict must replay its odd-sum certificate; a certificate
-    that does not raises RuntimeError, also under ``python -O``. A host
-    with too many cycles for the system goes to the full IL test.
+    A host splitting at an adjacent cut pair is IL iff one of its sides
+    is, so the sides' smaller systems are solved instead. Sides keep
+    the host's vertex order, so a side's certificate, relabelled, has
+    the same crossings in the host's reference drawing. Raises
+    UndecidedError when a system has too many cycles.
     """
+    cut = _adjacent_cut_pair(g)
+    if cut is None:
+        return linked_certificate(g)
+    for verts in _cut_pair_sides(g, cut):
+        pairs = _linked_pairs(induced_subgraph(g, verts))
+        if pairs is not None:
+            return tuple(tuple(tuple(verts[w] for w in cyc) for cyc in pair) for pair in pairs)
+    return None
+
+
+def _augmentation_is_linked(aug: Graph, base_apex: bool, budget: Optional[int]) -> bool:
+    """IL verdict for a scan host, without the branch-set search if it can.
+
+    A host is tested for apexness first only when its base graph is
+    apex: adding an edge keeps a non-apex graph non-apex, so on other
+    scans the test could only fail. An IL verdict must replay its
+    odd-sum certificate against the whole host; a certificate that does
+    not raises RuntimeError, also under ``python -O``. A host with too
+    many cycles for the system goes to the full IL test.
+    """
+    if base_apex and _is_apex(aug):
+        return False
     try:
-        pairs = linked_certificate(aug)
+        pairs = _linked_pairs(aug)
     except UndecidedError:
         return is_intrinsically_linked(aug, budget=budget)[0]
     if pairs is None:
@@ -369,13 +406,14 @@ def _augmentation_is_linked(aug: Graph, budget: Optional[int]) -> bool:
 
 def _scan_chunk(args) -> Tuple[str, Optional[Edge]]:
     g, edges, budget, k6_mode = args
+    base_apex = not k6_mode and _is_apex(g)
     for e in edges:
         aug = add_edge(g, e)
         try:
             if k6_mode:
                 hit, _ = has_k6_minor(aug, budget=budget)
             else:
-                hit = _augmentation_is_linked(aug, budget)
+                hit = _augmentation_is_linked(aug, base_apex, budget)
         except UndecidedError:
             return ("undecided", e)
         if not hit:

@@ -22,7 +22,7 @@ from maxnil_lab import embedding, linking
 from maxnil_lab.canon import canonical_form, is_isomorphic
 from maxnil_lab.cliquesum import CliqueSumSpec, clique_sum
 from maxnil_lab.errors import UndecidedError
-from maxnil_lab.families import graph_g, jorgensen_family, jorgensen_graph, q13_3
+from maxnil_lab.families import graph_g, jorgensen_family, jorgensen_graph, q13_3, theorem_main_graph
 from maxnil_lab.graph import (
     Graph,
     add_edge,
@@ -35,6 +35,7 @@ from maxnil_lab.graph import (
     delete_vertex,
     disjoint_union,
     path_graph,
+    permute_vertices,
     triangle_to_y,
     vertex_connectivity,
     y_to_triangle,
@@ -190,11 +191,21 @@ def test_budget_exhaustion_does_not_depend_on_earlier_certifications():
 def test_parity_decider_settles_small_nil_hosts_without_budget():
     # the parity decider settles J's nIL base without spending budget,
     # and the maxnility scan settles each orbit representative J+e by
-    # the parity system too (the IL test's search for the witness of
-    # J+e takes 24 nodes)
+    # the parity system too, so a one-node budget is never reached
     j = jorgensen_graph()
     assert is_intrinsically_linked(j, budget=1) == (False, None)
-    assert is_maxnil(j, budget=24).maxnil_status == "maxnil"
+    assert is_maxnil(j, budget=1).maxnil_status == "maxnil"
+
+
+def test_maxnil_scan_keeps_the_budget_when_the_parity_system_overflows(monkeypatch):
+    # a scan host with too many cycles goes to the full IL test, whose
+    # branch-set search for the witness of Q(13,3)+e runs out at one node
+    def overflowing(g):
+        raise UndecidedError("more than CYCLE_CAP cycles")
+
+    monkeypatch.setattr(linking, "linked_certificate", overflowing)
+    with pytest.raises(UndecidedError):
+        is_maxnil(q13_3(), budget=1)
 
 
 def test_small_hosts_reach_no_minor_search(monkeypatch):
@@ -401,6 +412,73 @@ def test_apex_graphs_are_not_linked():
     il, witness = is_intrinsically_linked(apex)
     assert (il, witness) == (False, None)
     assert has_k6_minor(apex) == (False, None)
+
+
+def test_apex_scan_hosts_are_settled_by_the_apex_test(monkeypatch):
+    # the 3x3 grid with a vertex joined to all grid vertices but 0: the
+    # grid plus (0, 2) stays planar, so that first representative is an
+    # apex host, settled without the parity system
+    grid_edges = [(v, v + 1) for v in range(9) if v % 3 < 2] + [(v, v + 3) for v in range(6)]
+    g = Graph(10, grid_edges + [(v, 9) for v in range(1, 9)])
+    assert linking._is_apex(g)
+    solved = []
+
+    def recording_certificate(h):
+        solved.append(h)
+        return embedding.linked_certificate(h)
+
+    monkeypatch.setattr(linking, "linked_certificate", recording_certificate)
+    report = is_maxnil(g)
+    assert (report.maxnil_status, report.maxnil_failing_edge) == ("not-maxnil", (0, 2))
+    assert is_intrinsically_linked(add_edge(g, (0, 2))) == (False, None)
+    assert solved == []
+
+
+def test_non_apex_scans_run_the_apex_test_on_the_base_only(monkeypatch):
+    # adding an edge keeps a non-apex graph non-apex, so no scan host
+    # of J is tested for apexness
+    tested = []
+
+    def recording_is_apex(h):
+        tested.append(h)
+        return is_apex(h)
+
+    is_apex = linking._is_apex
+    monkeypatch.setattr(linking, "_is_apex", recording_is_apex)
+    j = jorgensen_graph()
+    assert is_maxnil(j).maxnil_status == "maxnil"
+    assert tested and all(h == j for h in tested)
+
+
+def test_scan_splits_hosts_at_adjacent_cut_pairs(monkeypatch):
+    # theorem_main_graph(14) is Q(13,3) with a degree-2 vertex, here
+    # relabelled to vertex 0 so that its side comes first and the IL
+    # side's certificate needs relabelling: the parity system sees the
+    # sides of each cut pair, never a host that has one, and each scan
+    # verdict is that of the full IL test
+    g = permute_vertices(theorem_main_graph(14), [v + 1 for v in range(13)] + [0])
+    assert g.degree(0) == 2
+    for h in (g, delete_edge(g, g.edges[-1])):
+        solved = []
+
+        def recording_certificate(side):
+            solved.append(side)
+            return embedding.linked_certificate(side)
+
+        monkeypatch.setattr(linking, "linked_certificate", recording_certificate)
+        apex = linking._is_apex(h)
+        split = 0
+        for e in h.non_edges()[::7]:
+            aug = add_edge(h, e)
+            solved.clear()
+            got = linking._augmentation_is_linked(aug, apex, None)
+            assert got == is_intrinsically_linked(aug)[0]
+            assert solved and all(linking._adjacent_cut_pair(s) is None for s in solved)
+            split += any(s.n < aug.n for s in solved)
+            pairs = linking._linked_pairs(aug)
+            assert (pairs is not None) == got
+            assert not got or embedding.verify_linked_certificate(aug, pairs)
+        assert split >= 5
 
 
 def test_apex_euler_filter_matches_the_unfiltered_definition():
