@@ -54,21 +54,30 @@ smallest failing representative is the smallest failing edge. Orbits
 are exact, computed from canonical forms with the pair's endpoints
 marked. The maxnility scan decides each representative G+e without
 the branch-set search, since reports carry no witness per added edge.
-When G is apex, an apex G+e is nIL at once; when G is not, no G+e is
-apex and the test is skipped. A host splitting at an adjacent cut pair
-is decided side by side, each side by its own, smaller parity system;
-any other host is its own one side. A consistent system on every side
-means G+e is nIL, so G is not maxnil. An inconsistent one comes with
+G is tested for apexness once, and the base IL test of a connected G
+reuses that answer. When G is apex, an apex G+e is nIL at once; when
+G is not, no G+e is apex and the test is skipped. A host splitting at
+an adjacent cut pair is decided side by side, each side by its own,
+smaller parity system; any other host is its own one side. A
+consistent system on every side means G+e is nIL, so G is not
+maxnil. An inconsistent one comes with
 an odd-sum certificate (``embedding.linked_certificate``): disjoint
 cycle pairs whose linking parities add up to odd in every embedding.
 Relabelled into G+e, it is replayed against the whole host by
 ``embedding.verify_linked_certificate``, without the solver, and one
 that does not replay raises RuntimeError, also under ``python -O``.
-Only a host with too many cycles for the system goes to the full IL
-test, and the search. The K6-maximality scan runs ``has_k6_minor`` on
-every representative. A budget applies to the search of each
-representative, so a maxnility scan the parity system settles spends
-none of it. A parallel mode may partition the representatives across
+Only a host with too many cycles for the system goes to the search,
+straight away. The K6-maximality scan applies the same apex rule. It
+then deletes, while there is one, a vertex whose neighbours form a
+clique of at most 4 vertices, which keeps the K6 verdict (Tarjan,
+"Decomposition by clique separators", 1985, removes clique-attached
+parts the same way). On the reduced host the contraction probe
+(``minors.contraction_probe``) contracts greedily down to 6 vertices;
+a hit counts only once its model, relabelled into G+e, replays as K6
+against the whole host. On a miss ``has_k6_minor`` decides the reduced
+host. A budget applies to the search of each representative, so a
+scan that the parity system or the probe settles spends none of it.
+A parallel mode may partition the representatives across
 processes; results are combined so the reported failing edge is the
 smallest one regardless of scheduling.
 """
@@ -105,6 +114,7 @@ from .graph import (
 )
 from .minors import (
     MinorModel,
+    contraction_probe,
     find_minor,
     model_to_json_dict,
     verify_minor_model,
@@ -197,7 +207,8 @@ def _cut_pair_sides(g: Graph, cut: Edge):
         yield sorted({others[w] for w in comp} | {u, v})
 
 
-def _search_any_minor(g: Graph, patterns, budget: Optional[int]) -> Optional[MinorModel]:
+def _search_any_minor(g: Graph, patterns, budget: Optional[int],
+                      apex: Optional[bool] = None) -> Optional[MinorModel]:
     """First listed pattern occurring as a minor of g, with its model.
 
     Every pattern must be intrinsically linked and 3-connected, as the
@@ -212,6 +223,9 @@ def _search_any_minor(g: Graph, patterns, budget: Optional[int]) -> Optional[Min
     shortcuts' own work is not counted against it: the parity decider
     runs unbudgeted on every host that reaches it, IL or not, its
     short-cycle enumeration bounded only by ``embedding.CYCLE_CAP``.
+    ``apex`` is g's apexness when the caller knows it already. A
+    disconnected g is tested component by component, so it is not used
+    there.
     """
     comps = connected_components(g)
     if len(comps) > 1:
@@ -228,11 +242,12 @@ def _search_any_minor(g: Graph, patterns, budget: Optional[int]) -> Optional[Min
     patterns = [p for p in patterns if p.n <= g.n and p.m <= g.m]
     if not patterns:
         return None
-    return _search_connected(g, patterns, budget)
+    return _search_connected(g, patterns, budget, apex)
 
 
-def _search_connected(g: Graph, patterns, budget: Optional[int]) -> Optional[MinorModel]:
-    if _is_apex(g):
+def _search_connected(g: Graph, patterns, budget: Optional[int],
+                      apex: Optional[bool] = None) -> Optional[MinorModel]:
+    if _is_apex(g) if apex is None else apex:
         return None
     cut = _adjacent_cut_pair(g)
     if cut is not None:
@@ -250,6 +265,11 @@ def _search_connected(g: Graph, patterns, budget: Optional[int]) -> Optional[Min
             return None
     except UndecidedError:
         pass  # too many cycles for the parity system; the search decides
+    return _search_patterns(g, patterns, budget)
+
+
+def _search_patterns(g: Graph, patterns, budget: Optional[int]) -> Optional[MinorModel]:
+    """The branch-set search of g for the first listed pattern it contains."""
     # a lone pattern's probe would run the same deterministic search as
     # its exhaustive rerun, so only lists of several patterns are staged
     if budget is not None or len(patterns) == 1:
@@ -288,11 +308,17 @@ def is_intrinsically_linked(g: Graph, budget: Optional[int] = None) -> Tuple[boo
     ``embedding.CYCLE_CAP``.
     The outcome depends only on ``g`` and ``budget``.
     """
+    model = _petersen_minor(g, budget)
+    return (model is not None), model
+
+
+def _petersen_minor(g: Graph, budget: Optional[int],
+                    apex: Optional[bool] = None) -> Optional[MinorModel]:
+    """Witness of the IL test, given g's apexness if it is known."""
     # every family member has 15 edges and at least 6 vertices
     if g.m < 15 or g.n < 6:
-        return False, None
-    model = _search_any_minor(g, petersen_family(), budget)
-    return (model is not None), model
+        return None
+    return _search_any_minor(g, petersen_family(), budget, apex)
 
 
 def has_k6_minor(g: Graph, budget: Optional[int] = None) -> Tuple[bool, Optional[MinorModel]]:
@@ -389,14 +415,15 @@ def _augmentation_is_linked(aug: Graph, base_apex: bool, budget: Optional[int]) 
     scans the test could only fail. An IL verdict must replay its
     odd-sum certificate against the whole host; a certificate that does
     not raises RuntimeError, also under ``python -O``. A host with too
-    many cycles for the system goes to the full IL test.
+    many cycles for the system goes straight to the branch-set search,
+    which would otherwise follow a second enumeration of the same cycles.
     """
     if base_apex and _is_apex(aug):
         return False
     try:
         pairs = _linked_pairs(aug)
     except UndecidedError:
-        return is_intrinsically_linked(aug, budget=budget)[0]
+        return _search_patterns(aug, petersen_family(), budget) is not None
     if pairs is None:
         return False
     if not verify_linked_certificate(aug, pairs):
@@ -404,14 +431,58 @@ def _augmentation_is_linked(aug: Graph, base_apex: bool, budget: Optional[int]) 
     return True
 
 
+def _k6_core(g: Graph) -> list:
+    """Vertices of g left by deleting simplicial vertices of degree <= 4.
+
+    A vertex whose neighbours form a clique of at most 4 vertices is
+    deleted, repeatedly, which keeps the K6-minor verdict: it cannot be
+    a branch set of K6 alone, and dropping it from a larger branch set
+    keeps that set connected (its neighbours there are adjacent) and
+    each edge at it witnessed by an edge at one of those neighbours. A
+    deletable vertex stays deletable as others go, so the order does
+    not matter. A K5 neighbourhood is kept: with the vertex it is K6.
+    """
+    keep = set(range(g.n))
+    shrunk = True
+    while shrunk:
+        shrunk = False
+        for v in sorted(keep):
+            nbrs = sorted(g.neighbors(v) & keep)
+            if len(nbrs) <= 4 and all(g.has_edge(a, b) for i, a in enumerate(nbrs)
+                                      for b in nbrs[i + 1:]):
+                keep.remove(v)
+                shrunk = True
+    return sorted(keep)
+
+
+def _augmentation_has_k6(aug: Graph, base_apex: bool, budget: Optional[int]) -> bool:
+    """K6-minor verdict for a scan host, without the branch-set search if it can.
+
+    The host is tested for apexness only when its base graph is apex,
+    as in the maxnility scan. Its simplicial vertices of degree at most
+    4 are deleted (``_k6_core``), and the contraction probe runs on what
+    is left; a probe model counts only once it replays as K6 against the
+    whole host. On a miss the K6 test decides the reduced host.
+    """
+    # K6 has 15 edges
+    if aug.m < 15 or (base_apex and _is_apex(aug)):
+        return False
+    verts = _k6_core(aug)
+    core = induced_subgraph(aug, verts)
+    model = contraction_probe(core, 6)
+    if model is not None and verify_minor_model(
+            aug, complete_graph(6), _remap_component_model(model, verts)):
+        return True
+    return has_k6_minor(core, budget=budget)[0]
+
+
 def _scan_chunk(args) -> Tuple[str, Optional[Edge]]:
-    g, edges, budget, k6_mode = args
-    base_apex = not k6_mode and _is_apex(g)
+    g, edges, budget, k6_mode, base_apex = args
     for e in edges:
         aug = add_edge(g, e)
         try:
             if k6_mode:
-                hit, _ = has_k6_minor(aug, budget=budget)
+                hit = _augmentation_has_k6(aug, base_apex, budget)
             else:
                 hit = _augmentation_is_linked(aug, base_apex, budget)
         except UndecidedError:
@@ -437,7 +508,7 @@ def _non_edge_orbits(g: Graph) -> Dict[Edge, Edge]:
 
 
 def _scan_augmentations(g: Graph, threads: int, budget: Optional[int],
-                        k6_mode: bool) -> Optional[Edge]:
+                        k6_mode: bool, base_apex: bool) -> Optional[Edge]:
     """Smallest non-edge whose addition stays minor-free, or None.
 
     Only the smallest non-edge of each Aut(g) orbit is added and
@@ -450,11 +521,12 @@ def _scan_augmentations(g: Graph, threads: int, budget: Optional[int],
     if not reps:
         return None
     if threads <= 1:
-        result = _scan_chunk((g, reps, budget, k6_mode))
+        result = _scan_chunk((g, reps, budget, k6_mode, base_apex))
     else:
         chunks = [reps[i::threads] for i in range(threads)]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            events = list(pool.map(_scan_chunk, [(g, c, budget, k6_mode) for c in chunks if c]))
+            events = list(pool.map(_scan_chunk, [(g, c, budget, k6_mode, base_apex)
+                                                     for c in chunks if c]))
         hits = [(e, kind) for kind, e in events if e is not None]
         if not hits:
             return None
@@ -471,12 +543,14 @@ def is_maxnil(g: Graph, threads: Optional[int] = None, budget: Optional[int] = N
     """Certify that g is nIL and that every edge addition is IL."""
     t0 = time.perf_counter()
     threads = _default_threads() if threads is None else max(1, threads)
-    il, witness = is_intrinsically_linked(g, budget=budget)
+    apex = _is_apex(g)
+    witness = _petersen_minor(g, budget, apex)
+    il = witness is not None
     report = VerificationReport(subject=g, il_status="IL" if il else "nIL", il_witness=witness)
     if il:
         report.maxnil_status = "not-maxnil"
     else:
-        failing = _scan_augmentations(g, threads, budget, k6_mode=False)
+        failing = _scan_augmentations(g, threads, budget, False, apex)
         if failing is None:
             report.maxnil_status = "maxnil"
         else:
@@ -491,7 +565,9 @@ def is_maximal_k6_minor_free(g: Graph, threads: Optional[int] = None,
     """Certify that g has no K6 minor and every edge addition creates one."""
     t0 = time.perf_counter()
     threads = _default_threads() if threads is None else max(1, threads)
-    il, il_witness = is_intrinsically_linked(g, budget=budget)
+    apex = _is_apex(g)
+    il_witness = _petersen_minor(g, budget, apex)
+    il = il_witness is not None
     # K6 is IL, so a nIL graph has no K6 minor
     has, witness = has_k6_minor(g, budget=budget) if il else (False, None)
     report = VerificationReport(subject=g, il_status="IL" if il else "nIL",
@@ -499,7 +575,7 @@ def is_maximal_k6_minor_free(g: Graph, threads: Optional[int] = None,
     if has:
         report.k6_maximal_status = "not-maximal"
     else:
-        failing = _scan_augmentations(g, threads, budget, k6_mode=True)
+        failing = _scan_augmentations(g, threads, budget, True, apex)
         if failing is None:
             report.k6_maximal_status = "maximal"
         else:

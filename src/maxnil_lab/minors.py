@@ -50,10 +50,15 @@ breaks, vertices ascend, path enumeration is lexicographic. ``budget``
 bounds the number of search steps (state expansions plus path
 extensions) and turns exhaustion into UndecidedError instead of a wrong
 answer.
+
+``contraction_probe`` is no search: it contracts edges greedily toward
+a complete graph and may miss one that is there. It spends no budget,
+and a caller replays its model and falls back to ``find_minor``.
 """
 
 from __future__ import annotations
 
+import itertools
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -62,9 +67,9 @@ from typing import Dict, Iterator, Optional, Tuple
 from .canon import automorphism_orbits
 from .errors import UndecidedError
 from .formats import graph6_decode, graph6_encode
-from .graph import Edge, Graph
+from .graph import Edge, Graph, complete_graph
 
-__all__ = ["MinorModel", "find_minor", "verify_minor_model",
+__all__ = ["MinorModel", "find_minor", "contraction_probe", "verify_minor_model",
            "model_to_json_dict", "model_from_json_dict"]
 
 
@@ -681,6 +686,79 @@ def _model_from_frags(host: Graph, pattern: Graph, frags: list) -> MinorModel:
                 break
         witnesses[(i, j)] = found
     return MinorModel(branch, witnesses, pattern)
+
+
+# hosts of at most this many edges also get every pair of edges forced
+# before the greedy runs of the contraction probe
+_PROBE_PAIR_EDGES = 40
+
+
+def contraction_probe(host: Graph, k: int) -> Optional[MinorModel]:
+    """A K_k model of host found by greedy contraction, or None.
+
+    Each run contracts some forced edges, then greedily the edge whose
+    contraction loses the fewest edges (itself and one per common
+    neighbour), smallest first on ties, until k vertices are left; it
+    hits when those are pairwise adjacent. The runs force no edge, then
+    each single edge, then, on hosts of at most ``_PROBE_PAIR_EDGES``
+    edges, each pair of edges. None proves nothing, and the model is not
+    verified here: a caller counts a hit only once ``verify_minor_model``
+    replays it. No budget is spent.
+    """
+    need = k * (k - 1) // 2
+    if host.n < k or host.m < need:
+        return None
+    adj = [sum(1 << w for w in host.neighbors(v)) for v in range(host.n)]
+    edges = host.edges
+    forced = itertools.chain([()], ((e,) for e in edges),
+                             itertools.combinations(edges, 2)
+                             if host.m <= _PROBE_PAIR_EDGES else ())
+    for fixed in forced:
+        frags = _contract_greedily(adj, host.m, fixed, k, need)
+        if frags is not None:
+            return _model_from_frags(host, complete_graph(k), frags)
+    return None
+
+
+def _contract_greedily(adj: list, m: int, fixed, k: int, need: int) -> Optional[list]:
+    """Branch sets of a K_k reached by one probe run, or None.
+
+    The edges in ``fixed`` are contracted first, in host labels. A run
+    stops as soon as fewer than ``need`` edges would be left on k
+    vertices, since every contraction loses at least one.
+    """
+    adj = list(adj)
+    frags = [1 << v for v in range(len(adj))]
+    alive = (1 << len(adj)) - 1
+    count = len(adj)
+    fixed = iter(fixed)
+    while m - (count - k) >= need:
+        if count == k:
+            return [frags[r] for r in _bits(alive)]
+        forced = next(fixed, None)
+        if forced is not None:
+            u, v = sorted(next(r for r in _bits(alive) if frags[r] >> a & 1) for a in forced)
+        else:
+            # the first edge losing no more than itself cannot be beaten
+            best = (len(adj), 0, 0)
+            for x in _bits(alive):
+                for y in _bits(adj[x] >> (x + 1) << (x + 1)):
+                    common = (adj[x] & adj[y]).bit_count()
+                    if common < best[0]:
+                        best = (common, x, y)
+                if best[0] == 0:
+                    break
+            _, u, v = best
+        # v merges into u
+        m -= 1 + (adj[u] & adj[v]).bit_count()
+        bu, bv = 1 << u, 1 << v
+        for w in _bits(adj[v] & ~bu):
+            adj[w] = adj[w] & ~bv | bu
+        adj[u] = (adj[u] | adj[v]) & ~(bu | bv)
+        frags[u] |= frags[v]
+        alive &= ~bv
+        count -= 1
+    return None
 
 
 def find_minor(host: Graph, pattern: Graph, budget: Optional[int] = None) -> Optional[MinorModel]:

@@ -217,6 +217,16 @@ def test_criterion_07s_theorem_family_certification(certified):
     _verdict(7, ok)
 
 
+@pytest.mark.slow
+def test_criterion_07s_theorem_family_k6_maximality():
+    # the K6 half of the same check: every added edge creates a K6 minor
+    ok = True
+    for n in range(13, 25):
+        rep = is_maximal_k6_minor_free(theorem_main_graph(n))
+        ok = ok and (rep.il_status, rep.k6_maximal_status) == ("nIL", "maximal")
+    _verdict(7, ok)
+
+
 def test_criterion_08_k2_sum_both_directions(certified):
     t0 = time.perf_counter()
     q = q13_3()

@@ -23,6 +23,7 @@ from maxnil_lab.canon import canonical_form, is_isomorphic
 from maxnil_lab.cliquesum import CliqueSumSpec, clique_sum
 from maxnil_lab.errors import UndecidedError
 from maxnil_lab.families import graph_g, jorgensen_family, jorgensen_graph, q13_3, theorem_main_graph
+from maxnil_lab.formats import graph6_decode
 from maxnil_lab.graph import (
     Graph,
     add_edge,
@@ -34,6 +35,7 @@ from maxnil_lab.graph import (
     delete_edge,
     delete_vertex,
     disjoint_union,
+    induced_subgraph,
     path_graph,
     permute_vertices,
     triangle_to_y,
@@ -47,7 +49,7 @@ from maxnil_lab.linking import (
     is_maxnil,
     petersen_family,
 )
-from maxnil_lab.minors import find_minor, verify_minor_model
+from maxnil_lab.minors import MinorModel, find_minor, verify_minor_model
 
 
 def kneser_5_2() -> Graph:
@@ -174,18 +176,34 @@ def test_budget_propagates():
 
 
 def test_budget_exhaustion_does_not_depend_on_earlier_certifications():
-    # unbudgeted certifications of Q(13,3) run first; a budgeted K6 scan
-    # must still search its augmentations for K6, and so still run out
+    # unbudgeted certifications run first; a budgeted one still spends
+    # its budget wherever the branch-set search must run, and only there
     q = circulant_graph(13, (1, 3))
     want = is_maxnil(q)
     assert want.maxnil_status == "maxnil"
-    assert is_maximal_k6_minor_free(q).k6_maximal_status == "maximal"
-    # the maxnil scan settles every Q(13,3)+e by the parity system,
-    # which spends no budget
+    want_k6 = is_maximal_k6_minor_free(q)
+    assert want_k6.k6_maximal_status == "maximal"
+    # the maxnil scan settles every Q(13,3)+e by the parity system, and
+    # the K6 scan every Q(13,3)+e by a replayed contraction probe model;
+    # neither spends budget
     assert is_maxnil(q, budget=1).to_dict(include_elapsed=False) == \
         want.to_dict(include_elapsed=False)
+    assert is_maximal_k6_minor_free(q, budget=1).to_dict(include_elapsed=False) == \
+        want_k6.to_dict(include_elapsed=False)
+    # the Petersen graph is IL, and the search of its base runs out
+    petersen = kneser_5_2()
+    assert is_maximal_k6_minor_free(petersen).k6_maximal_status == "not-maximal"
     with pytest.raises(UndecidedError):
-        is_maximal_k6_minor_free(q, budget=1)
+        is_maximal_k6_minor_free(petersen, budget=1)
+    # K_{3,3,1} minus an edge at its degree-6 vertex is nIL; its first
+    # scan host, +(0, 1), is IL without a K6 minor, so the probe misses
+    # and the K6 search must refute K6 inside the scan, and runs out
+    h = graph6_decode("F]~Hg")
+    aug = add_edge(h, (0, 1))
+    assert is_intrinsically_linked(aug)[0] and has_k6_minor(aug) == (False, None)
+    assert is_maximal_k6_minor_free(h).k6_failing_edge == (0, 1)
+    with pytest.raises(UndecidedError, match=r"edge \(0, 1\)"):
+        is_maximal_k6_minor_free(h, budget=1)
 
 
 def test_parity_decider_settles_small_nil_hosts_without_budget():
@@ -446,8 +464,62 @@ def test_non_apex_scans_run_the_apex_test_on_the_base_only(monkeypatch):
     is_apex = linking._is_apex
     monkeypatch.setattr(linking, "_is_apex", recording_is_apex)
     j = jorgensen_graph()
+    # the base IL test and the scan share one apex test of J
     assert is_maxnil(j).maxnil_status == "maxnil"
-    assert tested and all(h == j for h in tested)
+    assert tested == [j]
+    # the K6 scan too: the contraction probe settles every J+e, so no
+    # reduced host reaches the K6 test's own apex test either
+    tested.clear()
+    assert is_maximal_k6_minor_free(j).k6_maximal_status == "maximal"
+    assert tested == [j]
+
+
+def test_k6_scan_counts_only_probe_models_that_replay(monkeypatch):
+    # a probe that returns a model which does not replay is a miss, and
+    # the K6 test decides: the reports stay those of the real probe
+    k6 = complete_graph(6)
+    bogus = MinorModel({i: frozenset({i}) for i in range(6)},
+                       {e: e for e in k6.edges}, k6)
+    cases = [jorgensen_graph(), delete_edge(jorgensen_graph(), (0, 2))]
+    want = [is_maximal_k6_minor_free(g).to_dict(include_elapsed=False) for g in cases]
+    assert [w["k6_maximal_status"] for w in want] == ["maximal", "not-maximal"]
+    decided = []
+
+    def recording_k6(h, budget=None):
+        decided.append(h)
+        return has_k6_minor(h, budget=budget)
+
+    monkeypatch.setattr(linking, "contraction_probe", lambda g, k: bogus)
+    monkeypatch.setattr(linking, "has_k6_minor", recording_k6)
+    for g, report in zip(cases, want):
+        decided.clear()
+        assert is_maximal_k6_minor_free(g).to_dict(include_elapsed=False) == report
+        assert decided
+
+
+def test_simplicial_deletion_keeps_the_k6_verdict():
+    # a vertex over a clique of at most 4 vertices is deleted, one over
+    # a K5 is kept, and the reduced host has a K6 minor iff the host has
+    rng = random.Random(20261107)
+    kept = {True: 0, False: 0}
+    verdicts = []
+    for trial in range(48):
+        n = 7 + trial % 6
+        size = 2 + trial % 4
+        edges = {(a, b) for a in range(n - 1) for b in range(a + 1, n - 1)
+                 if rng.random() < rng.uniform(0.3, 0.7)}
+        clique = sorted(rng.sample(range(n - 1), size))
+        edges |= set(itertools.combinations(clique, 2))
+        g = Graph(n, sorted(edges | {(v, n - 1) for v in clique}))
+        core = linking._k6_core(g)
+        assert (n - 1 in core) == (size == 5)
+        kept[len(core) == n] += 1
+        has = has_k6_minor(g)[0]
+        assert has_k6_minor(induced_subgraph(g, core))[0] == has
+        verdicts.append(has)
+    assert linking._k6_core(complete_graph(6)) == list(range(6))
+    assert linking._k6_core(delete_edge(complete_graph(6), (0, 1))) == []
+    assert kept[False] >= 20 and verdicts.count(True) >= 10 and verdicts.count(False) >= 10
 
 
 def test_scan_splits_hosts_at_adjacent_cut_pairs(monkeypatch):
@@ -559,6 +631,24 @@ def test_cycle_cap_overflow_falls_back_to_the_search(monkeypatch):
             assert got.edge_witnesses == model.edge_witnesses
 
 
+def test_scan_host_over_the_cycle_cap_enumerates_its_cycles_once(monkeypatch):
+    # a scan host with too many cycles goes straight to the search,
+    # not to a full IL test that would enumerate them again
+    q = q13_3()
+    aug = add_edge(q, q.non_edges()[0])
+    monkeypatch.setattr(embedding, "CYCLE_CAP", 2)
+    enumerated = []
+    enumerate_cycles = embedding.enumerate_cycles
+
+    def recording_enumerate(g, *args, **kwargs):
+        enumerated.append(g)
+        return enumerate_cycles(g, *args, **kwargs)
+
+    monkeypatch.setattr(embedding, "enumerate_cycles", recording_enumerate)
+    assert linking._augmentation_is_linked(aug, False, None)
+    assert enumerated == [aug]
+
+
 def test_cycle_cap_overflow_in_the_scan_falls_back_to_the_search(monkeypatch):
     # with a tiny cycle cap the scan cannot use the parity system, and
     # the full IL test decides each representative, through the search,
@@ -619,7 +709,7 @@ def test_engines_agree_on_random_hosts():
             assert verify_minor_model(g, witness.pattern, witness)
 
 
-def brute_force_scan(g, threads, budget, k6_mode):
+def brute_force_scan(g, threads, budget, k6_mode, base_apex):
     # every non-edge in lexicographic order, no symmetry reduction
     decide = has_k6_minor if k6_mode else is_intrinsically_linked
     for e in g.non_edges():

@@ -26,6 +26,7 @@ from maxnil_lab.minors import (
     _model_from_frags,
     _mask_tables,
     _Search,
+    contraction_probe,
     find_minor,
     model_from_json_dict,
     model_to_json_dict,
@@ -150,6 +151,24 @@ def test_budget_exhaustion():
     host = random_graph(14, 0.25, rng)
     with pytest.raises(UndecidedError):
         find_minor(host, complete_graph(6), budget=3)
+
+
+def test_contraction_probe_models_replay_and_agree_with_the_search():
+    # every model the probe returns replays, and a hit means the exact
+    # search finds the clique too; a miss proves nothing either way
+    rng = random.Random(1107)
+    k6 = complete_graph(6)
+    outcomes = {"hit": 0, "miss": 0}
+    for trial in range(60):
+        host = random_graph(7 + trial % 6, rng.uniform(0.45, 0.9), rng)
+        model = contraction_probe(host, 6)
+        outcomes["miss" if model is None else "hit"] += 1
+        if model is not None:
+            assert verify_minor_model(host, k6, model)
+            assert find_minor(host, k6) is not None
+    assert outcomes["hit"] >= 20 and outcomes["miss"] >= 10
+    assert contraction_probe(K33, 3) is not None
+    assert contraction_probe(K5, 6) is None
 
 
 def test_model_json_round_trip():
