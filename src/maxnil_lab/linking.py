@@ -43,41 +43,47 @@ for the system leave the host to the search as well. No verdict is
 cached, so each one depends only on the host, the patterns and the
 budget.
 
+One K6 test, ``has_k6_minor``, serves every caller, K6-maximality's
+base test and scan included. It first deletes, while there is one, a
+vertex whose neighbours form a clique of at most 4 vertices, which
+keeps the K6 verdict (Tarjan, "Decomposition by clique separators",
+1985). On what is left the contraction probe
+(``minors.contraction_probe``) contracts greedily down to 6 vertices,
+spending no budget; on a miss the shortcuts and the search decide.
+
 Every host the shortcuts leave open goes to the one branch-set search,
-``minors.find_minor``, whatever its size. So every witness comes in one
-format, and a budget always counts branch-set search nodes.
+``minors.find_minor``, whatever its size. So every witness comes in
+one format, and a budget always counts branch-set search nodes. A
+model found in a piece (a component, a cut-pair side, the K6 test's
+reduced host) or by the probe is relabelled into the host and
+replayed: a search model that does not replay raises RuntimeError,
+also under ``python -O``, and a probe model that does not is a miss.
 
 Maxnility and K6-maximality scan one non-edge per orbit of Aut(G),
 the smallest one, in lexicographic order: adding two edges of one orbit
 gives isomorphic hosts, so one search decides the whole orbit, and the
 smallest failing representative is the smallest failing edge. Orbits
 are exact, computed from canonical forms with the pair's endpoints
-marked. The maxnility scan decides each representative G+e without
-the branch-set search, since reports carry no witness per added edge.
-G is tested for apexness once, and the base IL test of a connected G
-reuses that answer. When G is apex, an apex G+e is nIL at once; when
-G is not, no G+e is apex and the test is skipped. A host splitting at
-an adjacent cut pair is decided side by side, each side by its own,
+marked. G is tested for apexness once, and the base IL test of a
+connected G reuses the answer, as does the base K6 test when its probe
+misses on the whole of G. When G is apex, an apex G+e is nIL at once;
+when G is not, no G+e is apex and the test is skipped. The
+K6-maximality scan runs the K6 test on the other representatives. The
+maxnility scan decides them without the branch-set search, since
+reports carry no witness per added edge. A host splitting at an
+adjacent cut pair is decided side by side, each side by its own,
 smaller parity system; any other host is its own one side. A
-consistent system on every side means G+e is nIL, so G is not
-maxnil. An inconsistent one comes with
-an odd-sum certificate (``embedding.linked_certificate``): disjoint
-cycle pairs whose linking parities add up to odd in every embedding.
-Relabelled into G+e, it is replayed against the whole host by
+consistent system on every side means G+e is nIL, so G is not maxnil.
+An inconsistent one comes with an odd-sum certificate
+(``embedding.linked_certificate``): disjoint cycle pairs whose linking
+parities add up to odd in every embedding. Relabelled into G+e, it is
+replayed against the whole host by
 ``embedding.verify_linked_certificate``, without the solver, and one
 that does not replay raises RuntimeError, also under ``python -O``.
 Only a host with too many cycles for the system goes to the search,
-straight away. The K6-maximality scan applies the same apex rule. It
-then deletes, while there is one, a vertex whose neighbours form a
-clique of at most 4 vertices, which keeps the K6 verdict (Tarjan,
-"Decomposition by clique separators", 1985, removes clique-attached
-parts the same way). On the reduced host the contraction probe
-(``minors.contraction_probe``) contracts greedily down to 6 vertices;
-a hit counts only once its model, relabelled into G+e, replays as K6
-against the whole host. On a miss ``has_k6_minor`` decides the reduced
-host. A budget applies to the search of each representative, so a
-scan that the parity system or the probe settles spends none of it.
-A parallel mode may partition the representatives across
+straight away. A budget applies to the search of each representative,
+so a scan that the parity system or the probe settles spends none of
+it. A parallel mode may partition the representatives across
 processes; results are combined so the reported failing edge is the
 smallest one regardless of scheduling.
 """
@@ -161,10 +167,14 @@ def _triangles(g: Graph):
                 yield (u, v, w)
 
 
-def _remap_component_model(model: MinorModel, verts: list) -> MinorModel:
+def _lift_model(host: Graph, verts: list, model: MinorModel, what: str) -> MinorModel:
+    """A piece's model relabelled by ``verts`` and replayed against host."""
     branch = {p: frozenset(verts[v] for v in bs) for p, bs in model.branch_sets.items()}
     wit = {e: (verts[a], verts[b]) for e, (a, b) in model.edge_witnesses.items()}
-    return MinorModel(branch, wit, model.pattern)
+    lifted = MinorModel(branch, wit, model.pattern)
+    if not verify_minor_model(host, model.pattern, lifted):
+        raise RuntimeError(f"{what} witness does not replay against its host")
+    return lifted
 
 
 def _is_apex(g: Graph) -> bool:
@@ -234,10 +244,7 @@ def _search_any_minor(g: Graph, patterns, budget: Optional[int],
             sub = induced_subgraph(g, verts)
             model = _search_any_minor(sub, patterns, budget)
             if model is not None:
-                model = _remap_component_model(model, verts)
-                if not verify_minor_model(g, model.pattern, model):
-                    raise RuntimeError("component witness does not replay against its host")
-                return model
+                return _lift_model(g, verts, model, "component")
         return None
     patterns = [p for p in patterns if p.n <= g.n and p.m <= g.m]
     if not patterns:
@@ -255,10 +262,7 @@ def _search_connected(g: Graph, patterns, budget: Optional[int],
             side = induced_subgraph(g, verts)
             model = _search_any_minor(side, patterns, budget)
             if model is not None:
-                model = _remap_component_model(model, verts)
-                if not verify_minor_model(g, model.pattern, model):
-                    raise RuntimeError("cut-pair witness does not replay against its host")
-                return model
+                return _lift_model(g, verts, model, "cut-pair")
         return None
     try:
         if linkless_clasps(g) is not None:
@@ -324,15 +328,32 @@ def _petersen_minor(g: Graph, budget: Optional[int],
 def has_k6_minor(g: Graph, budget: Optional[int] = None) -> Tuple[bool, Optional[MinorModel]]:
     """K6-minor verdict with a minor model as the witness.
 
-    K6 is IL, so a host the apex or linking-parity shortcut shows nIL
-    has no K6 minor and spends no budget, at any size. ``budget`` caps
-    the branch-set search nodes of the other hosts as in
-    ``is_intrinsically_linked``.
+    The one K6 test, K6-maximality's too. Its contraction probe and,
+    since K6 is IL, the apex and linking-parity shortcuts spend no
+    budget, at any size; ``budget`` caps the branch-set search nodes of
+    the other hosts as in ``is_intrinsically_linked``.
     """
-    if g.m < 15 or g.n < 6:
-        return False, None
-    model = _search_any_minor(g, [complete_graph(6)], budget)
+    model = _k6_minor(g, budget)
     return (model is not None), model
+
+
+def _k6_minor(g: Graph, budget: Optional[int],
+              apex: Optional[bool] = None) -> Optional[MinorModel]:
+    """Witness of the K6 test, given g's apexness if it is known."""
+    # K6 has 15 edges
+    if g.m < 15 or g.n < 6:
+        return None
+    verts = _k6_core(g)
+    core = induced_subgraph(g, verts)
+    model = contraction_probe(core, 6)
+    if model is not None:
+        try:
+            return _lift_model(g, verts, model, "probe")
+        except RuntimeError:
+            pass  # the probe guarantees nothing: a model that does not replay is a miss
+    model = _search_any_minor(core, [complete_graph(6)], budget,
+                              apex if len(verts) == g.n else None)
+    return None if model is None else _lift_model(g, verts, model, "core")
 
 
 @dataclass
@@ -407,19 +428,15 @@ def _linked_pairs(g: Graph) -> Optional[Tuple[CyclePair, ...]]:
     return None
 
 
-def _augmentation_is_linked(aug: Graph, base_apex: bool, budget: Optional[int]) -> bool:
+def _augmentation_is_linked(aug: Graph, budget: Optional[int]) -> bool:
     """IL verdict for a scan host, without the branch-set search if it can.
 
-    A host is tested for apexness first only when its base graph is
-    apex: adding an edge keeps a non-apex graph non-apex, so on other
-    scans the test could only fail. An IL verdict must replay its
-    odd-sum certificate against the whole host; a certificate that does
-    not raises RuntimeError, also under ``python -O``. A host with too
-    many cycles for the system goes straight to the branch-set search,
-    which would otherwise follow a second enumeration of the same cycles.
+    An IL verdict must replay its odd-sum certificate against the whole
+    host; a certificate that does not raises RuntimeError, also under
+    ``python -O``. A host with too many cycles for the system goes
+    straight to the branch-set search, which would otherwise follow a
+    second enumeration of the same cycles.
     """
-    if base_apex and _is_apex(aug):
-        return False
     try:
         pairs = _linked_pairs(aug)
     except UndecidedError:
@@ -455,36 +472,15 @@ def _k6_core(g: Graph) -> list:
     return sorted(keep)
 
 
-def _augmentation_has_k6(aug: Graph, base_apex: bool, budget: Optional[int]) -> bool:
-    """K6-minor verdict for a scan host, without the branch-set search if it can.
-
-    The host is tested for apexness only when its base graph is apex,
-    as in the maxnility scan. Its simplicial vertices of degree at most
-    4 are deleted (``_k6_core``), and the contraction probe runs on what
-    is left; a probe model counts only once it replays as K6 against the
-    whole host. On a miss the K6 test decides the reduced host.
-    """
-    # K6 has 15 edges
-    if aug.m < 15 or (base_apex and _is_apex(aug)):
-        return False
-    verts = _k6_core(aug)
-    core = induced_subgraph(aug, verts)
-    model = contraction_probe(core, 6)
-    if model is not None and verify_minor_model(
-            aug, complete_graph(6), _remap_component_model(model, verts)):
-        return True
-    return has_k6_minor(core, budget=budget)[0]
-
-
 def _scan_chunk(args) -> Tuple[str, Optional[Edge]]:
     g, edges, budget, k6_mode, base_apex = args
     for e in edges:
         aug = add_edge(g, e)
+        # a non-apex g has no apex G+e; an apex host has neither minor
+        if base_apex and _is_apex(aug):
+            return ("fail", e)
         try:
-            if k6_mode:
-                hit = _augmentation_has_k6(aug, base_apex, budget)
-            else:
-                hit = _augmentation_is_linked(aug, base_apex, budget)
+            hit = has_k6_minor(aug, budget)[0] if k6_mode else _augmentation_is_linked(aug, budget)
         except UndecidedError:
             return ("undecided", e)
         if not hit:
@@ -569,10 +565,10 @@ def is_maximal_k6_minor_free(g: Graph, threads: Optional[int] = None,
     il_witness = _petersen_minor(g, budget, apex)
     il = il_witness is not None
     # K6 is IL, so a nIL graph has no K6 minor
-    has, witness = has_k6_minor(g, budget=budget) if il else (False, None)
-    report = VerificationReport(subject=g, il_status="IL" if il else "nIL",
-                                il_witness=il_witness, k6_has_minor=has, k6_witness=witness)
-    if has:
+    witness = _k6_minor(g, budget, apex) if il else None
+    report = VerificationReport(subject=g, il_status="IL" if il else "nIL", il_witness=il_witness,
+                                k6_has_minor=witness is not None, k6_witness=witness)
+    if witness is not None:
         report.k6_maximal_status = "not-maximal"
     else:
         failing = _scan_augmentations(g, threads, budget, True, apex)

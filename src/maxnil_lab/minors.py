@@ -52,8 +52,8 @@ extensions) and turns exhaustion into UndecidedError instead of a wrong
 answer.
 
 ``contraction_probe`` is no search: it contracts edges greedily toward
-a complete graph and may miss one that is there. It spends no budget,
-and a caller replays its model and falls back to ``find_minor``.
+a complete graph and may miss one that is there. It spends no budget;
+``linking.has_k6_minor`` runs it before any search and replays its model.
 """
 
 from __future__ import annotations

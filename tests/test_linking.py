@@ -49,7 +49,7 @@ from maxnil_lab.linking import (
     is_maxnil,
     petersen_family,
 )
-from maxnil_lab.minors import MinorModel, find_minor, verify_minor_model
+from maxnil_lab.minors import MinorModel, contraction_probe, find_minor, verify_minor_model
 
 
 def kneser_5_2() -> Graph:
@@ -346,14 +346,14 @@ def test_k6_maximality_reuses_the_nil_verdict(monkeypatch):
         "K6-e": ("E^~w", 6, 14, "maximal", None),
     }
     bases = {"J": jorgensen_graph(), "G": graph_g(), "C5": cycle_graph(5), "K6-e": near}
-    real = linking.has_k6_minor
+    real = linking._k6_minor
     for name, g in bases.items():
-        def guarded(h, budget=None, base=g):
+        def guarded(h, budget, apex=None, base=g):
             assert h != base, "K6 test run on a nIL base"
-            return real(h, budget=budget)
+            return real(h, budget, apex)
 
         with monkeypatch.context() as m:
-            m.setattr(linking, "has_k6_minor", guarded)
+            m.setattr(linking, "_k6_minor", guarded)
             got = is_maximal_k6_minor_free(g, threads=1).to_dict(include_elapsed=False)
         subject, n, m_, status, failing = want[name]
         assert got == {
@@ -394,11 +394,17 @@ def test_dense_small_host_finds_k6_within_a_small_budget():
     assert verify_minor_model(host, model.pattern, model)
 
 
+# the reduced host of theorem_main_graph(24) + (13, 20): no simplicial
+# vertex, not apex, no cut pair, IL by the parity decider, and the
+# contraction probe misses its K6 minor
+PROBE_MISS_K6 = "NlSggSD?kAgDgDo?E?G"
+
+
 def test_single_pattern_search_skips_the_staged_probe(monkeypatch):
-    # K13 is not apex and has no cut pair, and the parity decider finds
-    # it IL, so the K6 test reaches the branch-set search: one
-    # exhaustive call
-    host = complete_graph(13)
+    # the K6 test reaches the branch-set search on this host: one
+    # exhaustive call, whose model is the witness
+    host = graph6_decode(PROBE_MISS_K6)
+    assert contraction_probe(host, 6) is None
     budgets = []
 
     def recording_find_minor(g, pattern, budget=None):
@@ -474,32 +480,78 @@ def test_non_apex_scans_run_the_apex_test_on_the_base_only(monkeypatch):
     assert tested == [j]
 
 
+def test_k6_certification_tests_an_il_base_for_apexness_once(monkeypatch):
+    # the base IL test and the base K6 test share one apex test of an
+    # IL base: the probe settles K7, and the Petersen graph is its own
+    # K6 core, so its search reuses the answer once the probe misses
+    tested = []
+
+    def recording_is_apex(h):
+        tested.append(h)
+        return is_apex(h)
+
+    is_apex = linking._is_apex
+    monkeypatch.setattr(linking, "_is_apex", recording_is_apex)
+    k7 = complete_graph(7)
+    assert is_maximal_k6_minor_free(k7).k6_maximal_status == "not-maximal"
+    assert tested == [k7]
+    tested.clear()
+    petersen = graph6_decode("I@QFCpSJ?")
+    report = is_maximal_k6_minor_free(petersen)
+    assert (report.il_status, report.k6_has_minor) == ("IL", False)
+    # its scan then has hosts to test, but the base is tested once
+    assert tested.count(petersen) == 1
+
+
 def test_k6_scan_counts_only_probe_models_that_replay(monkeypatch):
     # a probe that returns a model which does not replay is a miss, and
-    # the K6 test decides: the reports stay those of the real probe
+    # the branch-set search decides: the reports stay those of the real
+    # probe, and so do the direct K6 verdicts
     k6 = complete_graph(6)
     bogus = MinorModel({i: frozenset({i}) for i in range(6)},
                        {e: e for e in k6.edges}, k6)
     cases = [jorgensen_graph(), delete_edge(jorgensen_graph(), (0, 2))]
     want = [is_maximal_k6_minor_free(g).to_dict(include_elapsed=False) for g in cases]
     assert [w["k6_maximal_status"] for w in want] == ["maximal", "not-maximal"]
+    j = jorgensen_graph()
+    hosts = [add_edge(j, j.non_edges()[0]), kneser_5_2(), graph_g()]
+    want_k6 = [has_k6_minor(h)[0] for h in hosts]
+    assert want_k6 == [True, False, False]
+    # only an IL host reaches the search; G is settled nIL by parity
+    il = [is_intrinsically_linked(h)[0] for h in hosts]
+    assert il == [True, True, False]
     decided = []
+    searched = []
 
     def recording_k6(h, budget=None):
         decided.append(h)
         return has_k6_minor(h, budget=budget)
 
+    def recording_find_minor(g, pattern, budget=None):
+        searched.append(g)
+        return find_minor(g, pattern, budget=budget)
+
     monkeypatch.setattr(linking, "contraction_probe", lambda g, k: bogus)
     monkeypatch.setattr(linking, "has_k6_minor", recording_k6)
+    monkeypatch.setattr(linking, "find_minor", recording_find_minor)
     for g, report in zip(cases, want):
         decided.clear()
         assert is_maximal_k6_minor_free(g).to_dict(include_elapsed=False) == report
         assert decided
+    for h, has, reached in zip(hosts, want_k6, il):
+        assert not verify_minor_model(h, k6, bogus)
+        searched.clear()
+        got, model = has_k6_minor(h)
+        assert got == has
+        assert model is None or verify_minor_model(h, k6, model)
+        assert bool(searched) == reached
 
 
 def test_simplicial_deletion_keeps_the_k6_verdict():
     # a vertex over a clique of at most 4 vertices is deleted, one over
-    # a K5 is kept, and the reduced host has a K6 minor iff the host has
+    # a K5 is kept, and the reduced host has a K6 minor iff the host has:
+    # the K6 test deletes such vertices itself, so both verdicts are
+    # checked against the branch-set search on the whole host
     rng = random.Random(20261107)
     kept = {True: 0, False: 0}
     verdicts = []
@@ -514,7 +566,8 @@ def test_simplicial_deletion_keeps_the_k6_verdict():
         core = linking._k6_core(g)
         assert (n - 1 in core) == (size == 5)
         kept[len(core) == n] += 1
-        has = has_k6_minor(g)[0]
+        has = find_minor(g, complete_graph(6)) is not None
+        assert has_k6_minor(g)[0] == has
         assert has_k6_minor(induced_subgraph(g, core))[0] == has
         verdicts.append(has)
     assert linking._k6_core(complete_graph(6)) == list(range(6))
@@ -538,12 +591,11 @@ def test_scan_splits_hosts_at_adjacent_cut_pairs(monkeypatch):
             return embedding.linked_certificate(side)
 
         monkeypatch.setattr(linking, "linked_certificate", recording_certificate)
-        apex = linking._is_apex(h)
         split = 0
         for e in h.non_edges()[::7]:
             aug = add_edge(h, e)
             solved.clear()
-            got = linking._augmentation_is_linked(aug, apex, None)
+            got = linking._augmentation_is_linked(aug, None)
             assert got == is_intrinsically_linked(aug)[0]
             assert solved and all(linking._adjacent_cut_pair(s) is None for s in solved)
             split += any(s.n < aug.n for s in solved)
@@ -606,7 +658,7 @@ def test_cycle_cap_overflow_falls_back_to_the_search(monkeypatch):
     q = q13_3()
     j5 = jorgensen_family(5)
     cases = [(is_intrinsically_linked, add_edge(q, q.non_edges()[0])),
-             (has_k6_minor, complete_graph(13)),
+             (has_k6_minor, graph6_decode(PROBE_MISS_K6)),
              (has_k6_minor, j5)]
     want = [decide(g) for decide, g in cases]
     assert want[2] == (False, None)
@@ -645,7 +697,7 @@ def test_scan_host_over_the_cycle_cap_enumerates_its_cycles_once(monkeypatch):
         return enumerate_cycles(g, *args, **kwargs)
 
     monkeypatch.setattr(embedding, "enumerate_cycles", recording_enumerate)
-    assert linking._augmentation_is_linked(aug, False, None)
+    assert linking._augmentation_is_linked(aug, None)
     assert enumerated == [aug]
 
 
@@ -776,12 +828,16 @@ def corrupting(fn):
     return wrapped
 
 k6, k7 = complete_graph(6), complete_graph(7)
+k6_tail = Graph(7, list(k6.edges) + [(4, 6), (5, 6)])
+# linking builds a MinorModel only when it lifts a piece's model into its host
 cases = [
     (minors, "_model_from_frags", lambda: minors.find_minor(k7, k6)),
-    (linking, "_remap_component_model",
+    (linking, "MinorModel",
      lambda: linking.is_intrinsically_linked(disjoint_union(path_graph(3), k6))),
-    (linking, "_remap_component_model",
-     lambda: linking.is_intrinsically_linked(Graph(7, list(k6.edges) + [(4, 6), (5, 6)]))),
+    (linking, "MinorModel", lambda: linking.is_intrinsically_linked(k6_tail)),
+    # vertex 6 is simplicial, so the K6 test works on the K6 core; a
+    # corrupted probe model is a miss, a corrupted search model raises
+    (linking, "MinorModel", lambda: linking.has_k6_minor(k6_tail)),
 ]
 for module, name, run in cases:
     original = getattr(module, name)
@@ -819,6 +875,7 @@ except RuntimeError as exc:
         "branch-set witness does not replay against its host",
         "component witness does not replay against its host",
         "cut-pair witness does not replay against its host",
+        "core witness does not replay against its host",
         "linkless certificate fails one of its equations",
         "odd-sum certificate does not replay against its host",
     ]
