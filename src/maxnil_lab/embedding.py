@@ -7,6 +7,23 @@ follows the arrival vertex clockwise", so each directed edge lies on
 exactly one face and bridges show up twice on the same walk. Euler's
 relation, checked per connected component, validates the structure.
 
+Planarity is decided in house, by path addition (G. Demoucron,
+Y. Malgrange and R. Pertuiset, "Graphes planaires : reconnaissance et
+construction de représentations planaires topologiques", Revue
+française de recherche opérationnelle 8, 1964). Each block is drawn on
+its own: a cycle first, then one path at a time through a face holding
+every attachment of the path's fragment, a fragment with only one such
+face first. A fragment with none proves the block nonplanar. The
+blocks' neighbour orders are joined at the cut vertices. The test is
+quadratic in the order, which suits the small graphs handled here
+(``BENCH_22.json`` compares it with a linear-time test). Every planar
+answer is replayed: ``planar_embedding`` returns only a rotation that
+``RotationSystem`` has traced and Euler-checked, raising GraphError
+otherwise, also under ``python -O``, and ``is_planar`` asks for that
+drawing. So the apex shortcut and the two-apex certificate rest on a
+checked drawing. A nonplanar answer carries no certificate; it only
+withholds those shortcuts.
+
 Sides of a cycle are computed without coordinates. Two faces lie in
 the same region of a cycle C exactly when they share an edge off C;
 flooding from the designated outer face yields the outside region, the
@@ -34,8 +51,6 @@ a certificate of intrinsic linking with a replay of its own.
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
 
 from .errors import GraphError, UndecidedError
 from .graph import Edge, Graph, delete_vertices, deletion_mapping
@@ -166,24 +181,227 @@ class CycleSide:
                 f"outside={sorted(self.outside)})")
 
 
-def _nx_graph(g: Graph) -> "nx.Graph":
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges)
-    return h
-
-
 def is_planar(g: Graph) -> bool:
-    return nx.check_planarity(_nx_graph(g), counterexample=False)[0]
+    return planar_embedding(g) is not None
 
 
 def planar_embedding(g: Graph) -> Optional[RotationSystem]:
-    """A rotation system for g from the planarity algorithm, or None."""
-    ok, emb = nx.check_planarity(_nx_graph(g), counterexample=False)
-    if not ok:
+    """A rotation system for g from the planarity test, or None.
+
+    The rotation passes ``RotationSystem``'s face tracing and Euler
+    check before it is returned, so every planar answer is replayed.
+    """
+    rotation = _plane_rotation(g)
+    return None if rotation is None else RotationSystem(g, rotation)
+
+
+def _bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _plane_rotation(g: Graph) -> Optional[Dict[int, List[int]]]:
+    """Neighbour orders of a plane drawing of g, or None if g is not planar.
+
+    Each block is drawn by ``_block_rotation``, and the orders of the
+    blocks at a cut vertex are concatenated.
+    """
+    adj = [0] * g.n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    rotation: Dict[int, List[int]] = {v: [] for v in range(g.n)}
+    for block in _blocks(adj):
+        orders = _block_rotation(adj, block)
+        if orders is None:
+            return None
+        for v, order in orders.items():
+            rotation[v] += order
+    return rotation
+
+
+def _blocks(adj: List[int]) -> List[int]:
+    """Vertex masks of the blocks, by Hopcroft and Tarjan's depth-first search.
+
+    Isolated vertices lie in no block.
+    """
+    depth = [-1] * len(adj)
+    low = [0] * len(adj)
+    blocks = []
+    for root, nbrs in enumerate(adj):
+        if depth[root] >= 0 or not nbrs:
+            continue
+        depth[root] = 0
+        path = [root]
+        todo = [(root, _bits(nbrs))]
+        while todo:
+            v, rest = todo[-1]
+            for w in rest:
+                if depth[w] < 0:
+                    depth[w] = low[w] = depth[v] + 1
+                    path.append(w)
+                    todo.append((w, _bits(adj[w])))
+                    break
+                low[v] = min(low[v], depth[w])
+            else:
+                todo.pop()
+                if todo:
+                    u = todo[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] >= depth[u]:
+                        block = 1 << u
+                        while not block >> v & 1:
+                            block |= 1 << path.pop()
+                        blocks.append(block)
+    return blocks
+
+
+def _block_rotation(adj: List[int], block: int) -> Optional[Dict[int, List[int]]]:
+    """Neighbour orders of a plane drawing of one block, or None.
+
+    Path addition (Demoucron, Malgrange and Pertuiset): faces are
+    oriented vertex cycles, every directed edge on exactly one, and each
+    step draws a path of a fragment (a chord, or a component of the
+    undrawn vertices with its edges to the drawing) through a face
+    holding all the fragment's attachments, splitting that face in two.
+    A fragment with no such face proves the block nonplanar; a fragment
+    with exactly one goes first, and then every choice keeps a planar
+    block drawable.
+    """
+    verts = list(_bits(block))
+    if len(verts) == 2:
+        a, b = verts
+        return {a: [b], b: [a]}
+    nb = {v: adj[v] & block for v in verts}
+    left = sum(x.bit_count() for x in nb.values()) // 2
+    if left > 3 * len(verts) - 6:
         return None
-    rotation = {v: tuple(emb.neighbors_cw_order(v)) for v in range(g.n)}
-    return RotationSystem(g, rotation)
+    # the first cycle: a, a neighbour b, and a shortest path avoiding a
+    # from b to another neighbour of a
+    a = verts[0]
+    b = (nb[a] & -nb[a]).bit_length() - 1
+    prev = {b: a}
+    queue = [b]
+    for v in queue:
+        if v != b and nb[a] >> v & 1:
+            break
+        for w in _bits(nb[v] & ~(1 << a)):
+            if w not in prev:
+                prev[w] = v
+                queue.append(w)
+    path = [v]
+    while path[-1] != a:
+        path.append(prev[path[-1]])
+    faces = [path, path[::-1]]
+    done = {v: 0 for v in verts}  # drawn neighbours of each vertex
+    for u, v in zip(path, path[1:] + path[:1]):
+        done[u] |= 1 << v
+        done[v] |= 1 << u
+    drawn = sum(1 << v for v in path)
+    on = {v: 0b11 if drawn >> v & 1 else 0 for v in verts}  # mask of faces at v
+    chords = set()
+    fresh = path
+    left -= len(path)
+    while left:
+        for x in fresh:
+            for w in _bits(nb[x] & drawn & ~done[x]):
+                chords.add((x, w) if x < w else (w, x))
+        choice = None
+        for att, piece in _fragments(nb, block, drawn, chords):
+            fits = -1
+            for v in _bits(att):
+                fits &= on[v]
+            if not fits:
+                return None
+            single = not fits & (fits - 1)
+            if choice is None or single:
+                choice = (att, piece, (fits & -fits).bit_length() - 1)
+                if single:
+                    break
+        att, piece, fi = choice
+        path = _fragment_path(nb, att, piece) if piece else list(_bits(att))
+        # one side runs the face from path[0] to path[-1] and the path
+        # back, the other the face on from path[-1] and the path forward
+        face = faces[fi]
+        i = face.index(path[0])
+        face = face[i:] + face[:i]
+        j = face.index(path[-1])
+        for v in face:
+            on[v] &= ~(1 << fi)
+        faces[fi] = face[:j + 1] + path[-2:0:-1]
+        faces.append(face[j:] + path[:-1])
+        for k in (fi, len(faces) - 1):
+            for v in faces[k]:
+                on[v] |= 1 << k
+        for u, v in zip(path, path[1:]):
+            done[u] |= 1 << v
+            done[v] |= 1 << u
+            drawn |= 1 << v
+        chords.discard((path[0], path[1]))  # a chord, once drawn
+        fresh = path[1:-1]
+        left -= len(path) - 1
+    # in a face ... u, v, w ..., w follows u in the order around v
+    succ = {}
+    for face in faces:
+        for i, v in enumerate(face):
+            succ[v, face[i - 1]] = face[(i + 1) % len(face)]
+    orders = {}
+    for v in verts:
+        order = [(nb[v] & -nb[v]).bit_length() - 1]
+        nxt = succ[v, order[0]]
+        while nxt != order[0]:
+            order.append(nxt)
+            nxt = succ[v, nxt]
+        orders[v] = order
+    return orders
+
+
+def _fragments(nb: Dict[int, int], block: int, drawn: int, chords):
+    """(attachments, vertex mask) of each fragment of the drawn subgraph.
+
+    A chord comes with mask 0, a component of the undrawn vertices with
+    its mask. Chords come first: the caller stops at the first fragment
+    with one admissible face.
+    """
+    for v, w in chords:
+        yield 1 << v | 1 << w, 0
+    rest = block & ~drawn
+    while rest:
+        comp = grow = rest & -rest
+        while grow:
+            reach = 0
+            for v in _bits(grow):
+                reach |= nb[v]
+            grow = reach & rest & ~comp
+            comp |= grow
+        rest &= ~comp
+        att = 0
+        for v in _bits(comp):
+            att |= nb[v]
+        yield att & drawn, comp
+
+
+def _fragment_path(nb: Dict[int, int], att: int, comp: int) -> List[int]:
+    """A path through a component fragment between two of its attachments."""
+    a = (att & -att).bit_length() - 1
+    start = (nb[a] & comp & -(nb[a] & comp)).bit_length() - 1
+    prev = {start: a}
+    queue = [start]
+    for v in queue:
+        ends = nb[v] & att & ~(1 << a)
+        if ends:
+            path = [(ends & -ends).bit_length() - 1, v]
+            while path[-1] != a:
+                path.append(prev[path[-1]])
+            return path[::-1]
+        for w in _bits(nb[v] & comp):
+            if w not in prev:
+                prev[w] = v
+                queue.append(w)
+    raise RuntimeError("a fragment of a block has fewer than two attachments")
 
 
 def enumerate_cycles(g: Graph, cap: int = CYCLE_CAP,

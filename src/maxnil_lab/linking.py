@@ -68,9 +68,11 @@ marked. G is tested for apexness once, and the base IL test of a
 connected G reuses the answer, as does the base K6 test when its probe
 misses on the whole of G. When G is apex, an apex G+e is nIL at once;
 when G is not, no G+e is apex and the test is skipped. The
-K6-maximality scan runs the K6 test on the other representatives. The
-maxnility scan decides them without the branch-set search, since
-reports carry no witness per added edge. A host splitting at an
+K6-maximality scan runs the K6 test on the other representatives,
+telling it that they are not apex, so a probe miss on a whole host
+goes on without a second apex test. The maxnility scan decides them
+without the branch-set search, since reports carry no witness per
+added edge. A host splitting at an
 adjacent cut pair is decided side by side, each side by its own,
 smaller parity system; any other host is its own one side. A
 consistent system on every side means G+e is nIL, so G is not maxnil.
@@ -480,7 +482,11 @@ def _scan_chunk(args) -> Tuple[str, Optional[Edge]]:
         if base_apex and _is_apex(aug):
             return ("fail", e)
         try:
-            hit = has_k6_minor(aug, budget)[0] if k6_mode else _augmentation_is_linked(aug, budget)
+            if k6_mode:
+                # aug is not apex, so the K6 test need not ask again
+                hit = _k6_minor(aug, budget, False) is not None
+            else:
+                hit = _augmentation_is_linked(aug, budget)
         except UndecidedError:
             return ("undecided", e)
         if not hit:

@@ -2,7 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
+import maxnil_lab
 from maxnil_lab.cli import main
 from maxnil_lab.formats import graph6_decode, graph6_encode
 from maxnil_lab.graph import complete_graph
@@ -189,3 +193,29 @@ def test_file_input_and_output(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, monkeypatch, ["verify", str(target)])
     assert code == 0
     assert "il: nIL" in out
+
+
+def test_certification_does_not_import_networkx(tmp_path):
+    # networkx is a test-only reference; the package and the CLI run
+    # without it, planarity included
+    script = """
+import sys
+from maxnil_lab import cli, graph6_encode, is_maximal_k6_minor_free, is_maxnil, jorgensen_graph
+
+j = jorgensen_graph()
+print(is_maxnil(j).maxnil_status, is_maximal_k6_minor_free(j).k6_maximal_status)
+path = sys.argv[1]
+with open(path, "w") as out:
+    out.write(graph6_encode(j) + "\\n")
+print(cli.main(["verify", "--maxnil", path]))
+print("networkx" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(maxnil_lab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "j.g6")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "maxnil maximal"
+    assert "maxnil: yes" in proc.stdout
+    assert lines[-2:] == ["0", "False"]

@@ -25,9 +25,11 @@ from maxnil_lab.families import (
     family_3n5,
     fig7_graph,
     graph_g,
+    h_k,
     jorgensen_family,
     k5_sum_example,
     q13_3,
+    theorem_main_graph,
 )
 from maxnil_lab.graph import (
     Graph,
@@ -36,9 +38,11 @@ from maxnil_lab.graph import (
     complete_graph,
     complete_multipartite,
     cycle_graph,
+    delete_vertex,
     delete_vertices,
     disjoint_union,
     path_graph,
+    permute_vertices,
 )
 from maxnil_lab.linking import is_intrinsically_linked, petersen_family
 
@@ -69,6 +73,56 @@ def test_planarity_basics():
     assert not is_planar(complete_graph(5))
     assert not is_planar(complete_multipartite(3, 3))
     assert is_planar(build_graph(0, []))
+
+
+def maximal_planar(n: int, rng: random.Random) -> Graph:
+    """A plane triangulation on n >= 3 vertices: stacked, then edges flipped."""
+    faces = [(0, 1, 2), (0, 2, 1)]
+    for v in range(3, n):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        faces += [(a, b, v), (b, c, v), (c, a, v)]
+    for _ in range(2 * n):
+        # faces (a, b, c) and (b, a, d) become (a, d, c) and (d, b, c)
+        k = rng.randrange(len(faces))
+        a, b, c = faces[k]
+        l = next(i for i, f in enumerate(faces) if (b, a) in zip(f, f[1:] + f[:1]))
+        d = next(x for x in faces[l] if x not in (a, b))
+        edges = {frozenset(p) for f in faces for p in zip(f, f[1:] + f[:1])}
+        if c != d and frozenset((c, d)) not in edges:
+            faces[k], faces[l] = (a, d, c), (d, b, c)
+    edges = {tuple(sorted(p)) for f in faces for p in zip(f, f[1:] + f[:1])}
+    return build_graph(n, sorted(edges))
+
+
+def test_planarity_agrees_with_networkx():
+    # networkx's planarity test is the reference, and every planar
+    # answer's rotation passes the face tracing and Euler check again
+    rng = random.Random(20261020)
+
+    def checked(g: Graph) -> bool:
+        emb = planar_embedding(g)
+        assert (emb is not None) == nx.check_planarity(nx_of(g))[0] == is_planar(g)
+        if emb is not None:
+            assert euler_ok(emb)
+            assert RotationSystem(g, emb.rotation).faces == emb.faces
+        return emb is not None
+
+    answers = []
+    for trial in range(700):
+        n = 1 + trial % 14
+        p = 0.2 + 0.6 * rng.random()
+        answers.append(checked(build_graph(n, [(a, b) for a in range(n)
+                                               for b in range(a + 1, n) if rng.random() < p])))
+    assert 200 <= sum(answers) <= 600
+    triangulations = [maximal_planar(n, rng) for n in range(3, 25) for _ in range(4)]
+    assert all([checked(t) for t in triangulations])
+    assert not any([checked(add_edge(t, rng.choice(t.non_edges())))
+                    for t in triangulations if t.n > 4])
+    named = [jorgensen_family(i) for i in range(7)] + [graph_g(), k5_sum_example(), q13_3(),
+                                                      h_k(2)]
+    named += [theorem_main_graph(n) for n in range(13, 25)]
+    answers = [checked(delete_vertex(g, v)) for g in named for v in range(g.n)]
+    assert 0 < sum(answers) < len(answers)
 
 
 def test_embedding_face_counts():
@@ -265,6 +319,21 @@ def test_pole_condition_sound_on_random_graphs():
             assert not il
             agreements += 1
     assert agreements >= 10
+
+
+def test_two_apex_certificate_survives_relabelling():
+    # G - u - v has more than one plane drawing for J_1-J_6, so the
+    # certificate must not hang on the one the planarity test returns;
+    # G_1 and G_2 are IL, and no drawing certifies them
+    for g, want in [(jorgensen_family(i), True) for i in range(7)] + \
+            [(graph_g(), True), (family_3n5(1), False), (family_3n5(2), False)]:
+        rng = random.Random(f"relabel {g.n} {g.m}")
+        for _ in range(20):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = permute_vertices(g, perm)
+            u, v = h.vertex_by_label("u"), h.vertex_by_label("v")
+            assert certify_nil_via_lemma21(h, u, v) == want
 
 
 def test_disconnected_pole_complement():

@@ -503,6 +503,24 @@ def test_k6_certification_tests_an_il_base_for_apexness_once(monkeypatch):
     assert tested.count(petersen) == 1
 
 
+def test_k6_scan_hosts_are_not_tested_for_apexness(monkeypatch):
+    # a scan host is not apex: its base is not, or the scan's apex rule
+    # has just said so. The Petersen graph's scan host +(0, 1) misses the
+    # probe with nothing deleted, and still only the base is tested
+    tested = []
+
+    def recording_is_apex(h):
+        tested.append(h)
+        return is_apex(h)
+
+    is_apex = linking._is_apex
+    monkeypatch.setattr(linking, "_is_apex", recording_is_apex)
+    petersen = graph6_decode("I@QFCpSJ?")
+    report = is_maximal_k6_minor_free(petersen, threads=1)
+    assert report.k6_maximal_status == "not-maximal"
+    assert tested == [petersen]
+
+
 def test_k6_scan_counts_only_probe_models_that_replay(monkeypatch):
     # a probe that returns a model which does not replay is a miss, and
     # the branch-set search decides: the reports stay those of the real
@@ -523,16 +541,18 @@ def test_k6_scan_counts_only_probe_models_that_replay(monkeypatch):
     decided = []
     searched = []
 
-    def recording_k6(h, budget=None):
+    k6_minor = linking._k6_minor
+
+    def recording_k6(h, budget, apex=None):
         decided.append(h)
-        return has_k6_minor(h, budget=budget)
+        return k6_minor(h, budget, apex)
 
     def recording_find_minor(g, pattern, budget=None):
         searched.append(g)
         return find_minor(g, pattern, budget=budget)
 
     monkeypatch.setattr(linking, "contraction_probe", lambda g, k: bogus)
-    monkeypatch.setattr(linking, "has_k6_minor", recording_k6)
+    monkeypatch.setattr(linking, "_k6_minor", recording_k6)
     monkeypatch.setattr(linking, "find_minor", recording_find_minor)
     for g, report in zip(cases, want):
         decided.clear()
@@ -814,6 +834,7 @@ def test_witness_replay_runs_under_optimize():
     # a corrupted model must still be caught when asserts are stripped
     script = """
 from maxnil_lab import embedding, linking, minors
+from maxnil_lab.errors import GraphError
 from maxnil_lab.graph import Graph, circulant_graph, complete_graph, disjoint_union, path_graph
 from maxnil_lab.minors import MinorModel
 
@@ -865,6 +886,23 @@ try:
     linking.is_maxnil(circulant_graph(13, (1, 3)))
 except RuntimeError as exc:
     print(exc)
+linking.linked_certificate = original
+
+# a planar answer needs a drawing that passes the Euler check: K4 with
+# the order around vertex 0 reversed has 2 faces, not 4
+original = embedding._plane_rotation
+
+def reversing_at_0(g):
+    rotation = original(g)
+    rotation[0][:2] = rotation[0][1::-1]
+    return rotation
+
+embedding._plane_rotation = reversing_at_0
+try:
+    embedding.is_planar(complete_graph(4))
+except GraphError as exc:
+    print(exc)
+embedding._plane_rotation = original
 """
     src = os.path.dirname(os.path.dirname(maxnil_lab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -878,4 +916,5 @@ except RuntimeError as exc:
         "core witness does not replay against its host",
         "linkless certificate fails one of its equations",
         "odd-sum certificate does not replay against its host",
+        "component of vertex 0 fails the Euler check: 4 - 6 + 2 != 2",
     ]
