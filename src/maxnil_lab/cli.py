@@ -16,17 +16,7 @@ import sys
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import ConfigurationError, Graph6Error, GraphError, UndecidedError
-from .families import (
-    bounds_table,
-    family_3n5,
-    fig7_family,
-    h_k,
-    jorgensen_family,
-    k5_sum_example,
-    q13_3,
-    q_extension,
-    theorem_main_graph,
-)
+from .families import FAMILIES, bounds_table
 from .formats import dot_export, graph6_decode, graph6_encode
 from .graph import Graph
 from .linking import (
@@ -40,16 +30,7 @@ from .linking import (
 # past this edge count need the explicit --slow opt-in
 _SLOW_EDGE_THRESHOLD = 40
 
-_FAMILIES = {
-    "jorgensen": ("i", lambda v: jorgensen_family(v), 0),
-    "g3n5": ("i", lambda v: family_3n5(v), 0),
-    "q13-3": (None, lambda v: q13_3(), None),
-    "q-extension": ("n", lambda v: q_extension(v), None),
-    "h-k": ("k", lambda v: h_k(v), None),
-    "theorem-main": ("n", lambda v: theorem_main_graph(v), None),
-    "fig6": (None, lambda v: k5_sum_example(), None),
-    "fig7": ("n", lambda v: fig7_family(v), 11),
-}
+_FAMILIES = {fam.cli_name: fam for fam in FAMILIES.values()}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -111,8 +92,8 @@ def _parse_range(text: str) -> Tuple[int, int]:
 
 def _family_values(args) -> Tuple[str, Optional[str]]:
     """Pick the parameter the family needs; reject the ones it does not."""
-    spec = _FAMILIES[args.family]
-    needed = spec[0]
+    fam = _FAMILIES[args.family]
+    needed = fam.flag
     given = {flag: getattr(args, flag) for flag in ("i", "n", "k")
              if getattr(args, flag, None) is not None}
     for flag in given:
@@ -123,8 +104,8 @@ def _family_values(args) -> Tuple[str, Optional[str]]:
         return needed, None
     if needed in given:
         return needed, given[needed]
-    if spec[2] is not None:
-        return needed, spec[2]
+    if fam.default is not None:
+        return needed, fam.default
     raise ConfigurationError(f"family {args.family} requires --{needed}")
 
 
@@ -159,7 +140,7 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 def _cmd_gen(args) -> int:
     _, value = _family_values(args)
-    g = _FAMILIES[args.family][1](value)
+    g = _FAMILIES[args.family].build(value)
     text = dot_export(g) if args.format == "dot" else graph6_encode(g) + "\n"
     _emit(text, args.output)
     return 0
@@ -228,7 +209,7 @@ def _cmd_petersen(args) -> int:
 def _cmd_bounds_table(args) -> int:
     needed, raw = _family_values(args)
     lo, hi = _parse_range(str(raw)) if needed else (0, 0)
-    build = _FAMILIES[args.family][1]
+    build = _FAMILIES[args.family].build
     graphs = [build(v if needed else None) for v in range(lo, hi + 1)]
     for row in bounds_table(graphs):
         if args.json:

@@ -132,16 +132,11 @@ def clique_sum(spec: CliqueSumSpec) -> Graph:
 
 
 def _components_against(g: Graph, cut: Sequence[int]) -> List[Tuple[frozenset, frozenset]]:
-    """Components of g minus the cut, each with its cut attachment."""
-    cset = set(cut)
-    rest = [v for v in range(g.n) if v not in cset]
-    sub = induced_subgraph(g, rest)
+    """Components of g minus the cut, by lowest vertex, each with its cut attachment."""
     out = []
-    for comp in connected_components(sub):
-        verts = frozenset(rest[v] for v in comp)
-        att = frozenset(c for c in cut
-                        if any(w in verts for w in g.neighbors(c)))
-        out.append((verts, att))
+    for comp in connected_components(g, cut):
+        verts = frozenset(comp)
+        out.append((verts, frozenset(c for c in cut if g.neighbors(c) & verts)))
     return out
 
 
@@ -269,11 +264,11 @@ def k4_sum_maxnil_predicate(g1: Graph, s1: Sequence[int], g2: Graph, s2: Sequenc
 
 
 def _is_minimal_cut(g: Graph, cut: frozenset) -> bool:
-    if len(_components_against(g, sorted(cut))) < 2:
+    if len(connected_components(g, cut)) < 2:
         return False
     for r in range(1, len(cut)):
         for sub in itertools.combinations(sorted(cut), r):
-            if len(_components_against(g, sub)) > 1:
+            if len(connected_components(g, sub)) > 1:
                 return False
     return True
 
@@ -288,7 +283,6 @@ def decompose_at_cut(g: Graph, s: CutLike) -> List[Graph]:
     comps = _components_against(g, cut)
     if len(comps) < 2:
         raise GraphError(f"{cut} does not disconnect the graph")
-    comps.sort(key=lambda pair: min(pair[0]))
     return [induced_subgraph(g, sorted(verts | set(cut)))
             for verts, _ in comps]
 

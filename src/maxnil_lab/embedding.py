@@ -53,7 +53,16 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import GraphError, UndecidedError
-from .graph import Edge, Graph, delete_vertices, deletion_mapping
+from .graph import (
+    Edge,
+    Graph,
+    bits,
+    components,
+    connected_components,
+    delete_vertices,
+    deletion_mapping,
+    neighbor_masks,
+)
 
 __all__ = [
     "RotationSystem", "CycleSide", "is_planar", "planar_embedding",
@@ -126,21 +135,9 @@ class RotationSystem:
         return tuple(faces)
 
     def _check_euler(self) -> None:
-        comp_of = {}
-        for v in range(self.host.n):
-            if v in comp_of:
-                continue
-            comp_of[v] = v
-            stack = [v]
-            while stack:
-                w = stack.pop()
-                for x in self.host.neighbors(w):
-                    if x not in comp_of:
-                        comp_of[x] = v
-                        stack.append(x)
-        counts: Dict[int, List[int]] = {}
-        for v in range(self.host.n):
-            counts.setdefault(comp_of[v], [0, 0, 0])[0] += 1
+        comps = connected_components(self.host)
+        comp_of = {v: comp[0] for comp in comps for v in comp}
+        counts = {comp[0]: [len(comp), 0, 0] for comp in comps}
         for (u, v) in self.host.edges:
             counts[comp_of[u]][1] += 1
         for face in self.faces:
@@ -195,24 +192,13 @@ def planar_embedding(g: Graph) -> Optional[RotationSystem]:
     return None if rotation is None else RotationSystem(g, rotation)
 
 
-def _bits(mask: int):
-    """Indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _plane_rotation(g: Graph) -> Optional[Dict[int, List[int]]]:
     """Neighbour orders of a plane drawing of g, or None if g is not planar.
 
     Each block is drawn by ``_block_rotation``, and the orders of the
     blocks at a cut vertex are concatenated.
     """
-    adj = [0] * g.n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    adj = neighbor_masks(g)
     rotation: Dict[int, List[int]] = {v: [] for v in range(g.n)}
     for block in _blocks(adj):
         orders = _block_rotation(adj, block)
@@ -223,7 +209,7 @@ def _plane_rotation(g: Graph) -> Optional[Dict[int, List[int]]]:
     return rotation
 
 
-def _blocks(adj: List[int]) -> List[int]:
+def _blocks(adj: Sequence[int]) -> List[int]:
     """Vertex masks of the blocks, by Hopcroft and Tarjan's depth-first search.
 
     Isolated vertices lie in no block.
@@ -236,14 +222,14 @@ def _blocks(adj: List[int]) -> List[int]:
             continue
         depth[root] = 0
         path = [root]
-        todo = [(root, _bits(nbrs))]
+        todo = [(root, bits(nbrs))]
         while todo:
             v, rest = todo[-1]
             for w in rest:
                 if depth[w] < 0:
                     depth[w] = low[w] = depth[v] + 1
                     path.append(w)
-                    todo.append((w, _bits(adj[w])))
+                    todo.append((w, bits(adj[w])))
                     break
                 low[v] = min(low[v], depth[w])
             else:
@@ -259,7 +245,7 @@ def _blocks(adj: List[int]) -> List[int]:
     return blocks
 
 
-def _block_rotation(adj: List[int], block: int) -> Optional[Dict[int, List[int]]]:
+def _block_rotation(adj: Sequence[int], block: int) -> Optional[Dict[int, List[int]]]:
     """Neighbour orders of a plane drawing of one block, or None.
 
     Path addition (Demoucron, Malgrange and Pertuiset): faces are
@@ -271,7 +257,7 @@ def _block_rotation(adj: List[int], block: int) -> Optional[Dict[int, List[int]]
     with exactly one goes first, and then every choice keeps a planar
     block drawable.
     """
-    verts = list(_bits(block))
+    verts = list(bits(block))
     if len(verts) == 2:
         a, b = verts
         return {a: [b], b: [a]}
@@ -288,7 +274,7 @@ def _block_rotation(adj: List[int], block: int) -> Optional[Dict[int, List[int]]
     for v in queue:
         if v != b and nb[a] >> v & 1:
             break
-        for w in _bits(nb[v] & ~(1 << a)):
+        for w in bits(nb[v] & ~(1 << a)):
             if w not in prev:
                 prev[w] = v
                 queue.append(w)
@@ -307,12 +293,12 @@ def _block_rotation(adj: List[int], block: int) -> Optional[Dict[int, List[int]]
     left -= len(path)
     while left:
         for x in fresh:
-            for w in _bits(nb[x] & drawn & ~done[x]):
+            for w in bits(nb[x] & drawn & ~done[x]):
                 chords.add((x, w) if x < w else (w, x))
         choice = None
         for att, piece in _fragments(nb, block, drawn, chords):
             fits = -1
-            for v in _bits(att):
+            for v in bits(att):
                 fits &= on[v]
             if not fits:
                 return None
@@ -322,7 +308,7 @@ def _block_rotation(adj: List[int], block: int) -> Optional[Dict[int, List[int]]
                 if single:
                     break
         att, piece, fi = choice
-        path = _fragment_path(nb, att, piece) if piece else list(_bits(att))
+        path = _fragment_path(nb, att, piece) if piece else list(bits(att))
         # one side runs the face from path[0] to path[-1] and the path
         # back, the other the face on from path[-1] and the path forward
         face = faces[fi]
@@ -368,18 +354,9 @@ def _fragments(nb: Dict[int, int], block: int, drawn: int, chords):
     """
     for v, w in chords:
         yield 1 << v | 1 << w, 0
-    rest = block & ~drawn
-    while rest:
-        comp = grow = rest & -rest
-        while grow:
-            reach = 0
-            for v in _bits(grow):
-                reach |= nb[v]
-            grow = reach & rest & ~comp
-            comp |= grow
-        rest &= ~comp
+    for comp in components(block & ~drawn, nb):
         att = 0
-        for v in _bits(comp):
+        for v in bits(comp):
             att |= nb[v]
         yield att & drawn, comp
 
@@ -397,7 +374,7 @@ def _fragment_path(nb: Dict[int, int], att: int, comp: int) -> List[int]:
             while path[-1] != a:
                 path.append(prev[path[-1]])
             return path[::-1]
-        for w in _bits(nb[v] & comp):
+        for w in bits(nb[v] & comp):
             if w not in prev:
                 prev[w] = v
                 queue.append(w)
@@ -502,17 +479,7 @@ def cycle_sides(emb: RotationSystem, cycle: Sequence[int]) -> CycleSide:
 
 
 def _separates(g: Graph, u: int, v: int, removed: set) -> bool:
-    seen = {u}
-    stack = [u]
-    while stack:
-        w = stack.pop()
-        for x in g.neighbors(w):
-            if x == v:
-                return False
-            if x not in removed and x not in seen:
-                seen.add(x)
-                stack.append(x)
-    return True
+    return not any(u in comp and v in comp for comp in connected_components(g, removed))
 
 
 def lemma21_condition(g: Graph, u: int, v: int, emb: RotationSystem) -> bool:

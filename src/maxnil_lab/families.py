@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence
 
 from .canon import canonical_form
 from .cliquesum import CliqueSumSpec, clique_sum
@@ -92,45 +92,6 @@ _FIG7_TRIANGULATION = (
     (0, 3), (0, 4), (1, 4), (1, 5), (2, 5), (2, 3),
     (0, 6), (1, 6), (1, 7), (2, 7), (2, 8), (0, 8),
 )
-
-FAMILY_IDS = ("jorgensen_i", "g3n5_i", "q13_3", "q_extension_n", "h_k",
-              "theorem_main_n", "fig6", "fig7_n")
-
-
-@dataclass(frozen=True)
-class FamilyParams:
-    """A family id plus its integer parameter (0 when the id takes none)."""
-
-    family: str
-    index: int = 0
-
-    def __post_init__(self):
-        if self.family not in FAMILY_IDS:
-            raise ConfigurationError(
-                f"unknown family {self.family!r}; choose from {', '.join(FAMILY_IDS)}")
-        if self.index < 0:
-            raise ConfigurationError("family index must be nonnegative")
-
-
-def build_family(params: FamilyParams) -> Graph:
-    """Dispatch a FamilyParams to its constructor."""
-    fam, i = params.family, params.index
-    if fam == "jorgensen_i":
-        return jorgensen_family(i)
-    if fam == "g3n5_i":
-        return family_3n5(i)
-    if fam == "q13_3":
-        return q13_3()
-    if fam == "q_extension_n":
-        return q_extension(i)
-    if fam == "h_k":
-        return h_k(i)
-    if fam == "theorem_main_n":
-        return theorem_main_graph(i)
-    if fam == "fig6":
-        return k5_sum_example()
-    return fig7_family(i)
-
 
 def _expect(cond: bool, what: str) -> None:
     if not cond:
@@ -345,6 +306,50 @@ def fig7_family(n: int) -> Graph:
         prev = t
     assert (g.n, g.m) == (n, 33 + 4 * (n - 11))
     return g
+
+
+class Family(NamedTuple):
+    """One family: its CLI name, parameter flag and default, and builder."""
+
+    cli_name: str
+    flag: Optional[str]  # CLI flag of the parameter, None when it takes none
+    default: Optional[int]  # CLI value when the flag is left out
+    build: Callable[[int], Graph]  # ignores its argument when flag is None
+
+
+# the one registry of the families, keyed by FamilyParams id
+FAMILIES = {
+    "jorgensen_i": Family("jorgensen", "i", 0, jorgensen_family),
+    "g3n5_i": Family("g3n5", "i", 0, family_3n5),
+    "q13_3": Family("q13-3", None, None, lambda _: q13_3()),
+    "q_extension_n": Family("q-extension", "n", None, q_extension),
+    "h_k": Family("h-k", "k", None, h_k),
+    "theorem_main_n": Family("theorem-main", "n", None, theorem_main_graph),
+    "fig6": Family("fig6", None, None, lambda _: k5_sum_example()),
+    "fig7_n": Family("fig7", "n", 11, fig7_family),
+}
+
+FAMILY_IDS = tuple(FAMILIES)
+
+
+@dataclass(frozen=True)
+class FamilyParams:
+    """A family id plus its integer parameter (0 when the id takes none)."""
+
+    family: str
+    index: int = 0
+
+    def __post_init__(self):
+        if self.family not in FAMILY_IDS:
+            raise ConfigurationError(
+                f"unknown family {self.family!r}; choose from {', '.join(FAMILY_IDS)}")
+        if self.index < 0:
+            raise ConfigurationError("family index must be nonnegative")
+
+
+def build_family(params: FamilyParams) -> Graph:
+    """Dispatch a FamilyParams to its constructor."""
+    return FAMILIES[params.family].build(params.index)
 
 
 @dataclass(frozen=True)

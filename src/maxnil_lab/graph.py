@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import GraphError
 
@@ -293,35 +293,62 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
     return Graph(g.n + h.n, edges, labels or None)
 
 
-def connected_components(g: Graph) -> Tuple[Tuple[int, ...], ...]:
-    seen = [False] * g.n
+def bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def neighbor_masks(g: Graph) -> Tuple[int, ...]:
+    """Each vertex's neighbourhood as a bitmask of vertex ids."""
+    return tuple(sum(1 << w for w in nbrs) for nbrs in g._adj)
+
+
+def components(mask: int, adj: Sequence[int]) -> List[int]:
+    """Vertex masks of the components induced on mask, by lowest vertex.
+
+    ``adj[v]`` is the neighbourhood mask of v, as ``neighbor_masks``
+    builds it; neighbours outside mask are ignored.
+    """
     comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        queue = [s]
-        while queue:
-            v = queue.pop()
-            for w in g.neighbors(v):
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(tuple(sorted(comp)))
-    return tuple(sorted(comps))
+    rem = mask
+    while rem:
+        comp = frontier = rem & -rem
+        while frontier:
+            grow = 0
+            for v in bits(frontier):
+                grow |= adj[v]
+            frontier = grow & mask & ~comp
+            comp |= frontier
+        comps.append(comp)
+        rem &= ~comp
+    return comps
+
+
+def connected_components(g: Graph, removed: Iterable[int] = ()) -> Tuple[Tuple[int, ...], ...]:
+    """Sorted vertex tuples of the components of g minus ``removed``.
+
+    Components come by lowest vertex, in g's vertex ids.
+    """
+    return tuple(tuple(bits(c)) for c in components(_kept(g, removed), neighbor_masks(g)))
+
+
+def _kept(g: Graph, removed: Iterable[int]) -> int:
+    mask = (1 << g.n) - 1
+    for v in removed:
+        g._check_vertex(v)
+        mask &= ~(1 << v)
+    return mask
 
 
 def is_connected(g: Graph) -> bool:
     return g.n <= 1 or len(connected_components(g)) == 1
 
 
-def _disconnects(g: Graph, cut: frozenset) -> bool:
-    rest = [v for v in range(g.n) if v not in cut]
-    if len(rest) < 2:
-        return False
-    return not is_connected(induced_subgraph(g, rest))
+def _disconnects(g: Graph, adj: Sequence[int], cut: Iterable[int]) -> bool:
+    return len(components(_kept(g, cut), adj)) > 1
 
 
 @dataclass(frozen=True)
@@ -341,9 +368,10 @@ def vertex_connectivity(g: Graph) -> int:
         return 0
     if g.m == g.n * (g.n - 1) // 2:
         return g.n - 1
+    adj = neighbor_masks(g)
     for k in range(1, g.n - 1):
         for cut in itertools.combinations(range(g.n), k):
-            if _disconnects(g, frozenset(cut)):
+            if _disconnects(g, adj, cut):
                 return k
     return g.n - 1
 
@@ -352,15 +380,15 @@ def minimal_vertex_cuts(g: Graph, k: int) -> Tuple[VertexCut, ...]:
     """All size-k cuts none of whose proper subsets disconnect the graph."""
     if k >= g.n:
         raise GraphError(f"cut size {k} must be smaller than the order {g.n}")
+    adj = neighbor_masks(g)
     out = []
     for cut in itertools.combinations(range(g.n), k):
-        s = frozenset(cut)
-        if not _disconnects(g, s):
+        if not _disconnects(g, adj, cut):
             continue
-        if any(_disconnects(g, frozenset(sub)) for r in range(1, k)
+        if any(_disconnects(g, adj, sub) for r in range(1, k)
                for sub in itertools.combinations(cut, r)):
             continue
-        out.append(VertexCut(s, True))
+        out.append(VertexCut(frozenset(cut), True))
     return tuple(out)
 
 

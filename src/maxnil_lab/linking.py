@@ -113,10 +113,13 @@ from .graph import (
     Edge,
     Graph,
     add_edge,
+    bits,
     complete_graph,
+    components,
     connected_components,
     delete_vertex,
     induced_subgraph,
+    neighbor_masks,
     triangle_to_y,
     y_to_triangle,
 )
@@ -190,33 +193,21 @@ def _is_apex(g: Graph) -> bool:
                            if k < 3 or g.m - g.degree(v) <= 3 * k - 6)
 
 
-def _adjacent_cut_pair(g: Graph) -> Optional[Edge]:
-    """An edge whose endpoints disconnect g, smallest first, or None."""
-    verts = set(range(g.n))
+def _cut_pair_sides(g: Graph) -> Optional[list]:
+    """Sides of g at its first adjacent cut pair, or None if it has none.
+
+    The cut pair is the first edge whose ends disconnect g. Each side is
+    a sorted vertex list of one component left by the pair, plus both
+    ends; sides come by their lowest vertex off the pair.
+    """
+    adj = neighbor_masks(g)
+    everything = (1 << g.n) - 1
     for (u, v) in g.edges:
-        rest = verts - {u, v}
-        if len(rest) < 2:
-            continue
-        start = min(rest)
-        seen = {start}
-        stack = [start]
-        while stack:
-            w = stack.pop()
-            for x in g.neighbors(w):
-                if x in rest and x not in seen:
-                    seen.add(x)
-                    stack.append(x)
-        if seen != rest:
-            return (u, v)
+        cut = 1 << u | 1 << v
+        comps = components(everything & ~cut, adj)
+        if len(comps) > 1:
+            return [list(bits(comp | cut)) for comp in comps]
     return None
-
-
-def _cut_pair_sides(g: Graph, cut: Edge):
-    """Sorted vertex list of each side of g at a cut pair, keeping both ends."""
-    u, v = cut
-    others = [w for w in range(g.n) if w != u and w != v]
-    for comp in connected_components(induced_subgraph(g, others)):
-        yield sorted({others[w] for w in comp} | {u, v})
 
 
 def _search_any_minor(g: Graph, patterns, budget: Optional[int],
@@ -239,39 +230,24 @@ def _search_any_minor(g: Graph, patterns, budget: Optional[int],
     disconnected g is tested component by component, so it is not used
     there.
     """
-    comps = connected_components(g)
-    if len(comps) > 1:
-        for comp in comps:
-            verts = sorted(comp)
-            sub = induced_subgraph(g, verts)
-            model = _search_any_minor(sub, patterns, budget)
-            if model is not None:
-                return _lift_model(g, verts, model, "component")
-        return None
-    patterns = [p for p in patterns if p.n <= g.n and p.m <= g.m]
-    if not patterns:
-        return None
-    return _search_connected(g, patterns, budget, apex)
-
-
-def _search_connected(g: Graph, patterns, budget: Optional[int],
-                      apex: Optional[bool] = None) -> Optional[MinorModel]:
-    if _is_apex(g) if apex is None else apex:
-        return None
-    cut = _adjacent_cut_pair(g)
-    if cut is not None:
-        for verts in _cut_pair_sides(g, cut):
-            side = induced_subgraph(g, verts)
-            model = _search_any_minor(side, patterns, budget)
-            if model is not None:
-                return _lift_model(g, verts, model, "cut-pair")
-        return None
-    try:
-        if linkless_clasps(g) is not None:
+    pieces, what = connected_components(g), "component"
+    if len(pieces) <= 1:
+        patterns = [p for p in patterns if p.n <= g.n and p.m <= g.m]
+        if not patterns or (_is_apex(g) if apex is None else apex):
             return None
-    except UndecidedError:
-        pass  # too many cycles for the parity system; the search decides
-    return _search_patterns(g, patterns, budget)
+        pieces, what = _cut_pair_sides(g), "cut-pair"
+        if pieces is None:
+            try:
+                if linkless_clasps(g) is not None:
+                    return None
+            except UndecidedError:
+                pass  # too many cycles for the parity system; the search decides
+            return _search_patterns(g, patterns, budget)
+    for verts in pieces:
+        model = _search_any_minor(induced_subgraph(g, verts), patterns, budget)
+        if model is not None:
+            return _lift_model(g, verts, model, what)
+    return None
 
 
 def _search_patterns(g: Graph, patterns, budget: Optional[int]) -> Optional[MinorModel]:
@@ -420,10 +396,10 @@ def _linked_pairs(g: Graph) -> Optional[Tuple[CyclePair, ...]]:
     the same crossings in the host's reference drawing. Raises
     UndecidedError when a system has too many cycles.
     """
-    cut = _adjacent_cut_pair(g)
-    if cut is None:
+    sides = _cut_pair_sides(g)
+    if sides is None:
         return linked_certificate(g)
-    for verts in _cut_pair_sides(g, cut):
+    for verts in sides:
         pairs = _linked_pairs(induced_subgraph(g, verts))
         if pairs is not None:
             return tuple(tuple(tuple(verts[w] for w in cyc) for cyc in pair) for pair in pairs)

@@ -62,12 +62,12 @@ import itertools
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .canon import automorphism_orbits
 from .errors import UndecidedError
 from .formats import graph6_decode, graph6_encode
-from .graph import Edge, Graph, complete_graph
+from .graph import Edge, Graph, bits, complete_graph, components, neighbor_masks
 
 __all__ = ["MinorModel", "find_minor", "contraction_probe", "verify_minor_model",
            "model_to_json_dict", "model_from_json_dict"]
@@ -197,37 +197,11 @@ def _mask_tables(perm: Tuple[int, ...], n: int) -> list:
     return tables
 
 
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _free_components(mask: int, adj: Tuple[int, ...]) -> list:
-    comps = []
-    rem = mask
-    while rem:
-        seed = rem & -rem
-        comp = seed
-        frontier = seed
-        while frontier:
-            grow = 0
-            for v in _bits(frontier):
-                grow |= adj[v]
-            grow &= mask & ~comp
-            comp |= grow
-            frontier = grow
-        comps.append(comp)
-        rem &= ~comp
-    return comps
-
-
 class _Search:
     def __init__(self, host: Graph, pattern: Graph, budget: Optional[int]):
         self.host = host
         self.pattern = pattern
-        self.adj = tuple(sum(1 << w for w in host.neighbors(v)) for v in range(host.n))
+        self.adj = neighbor_masks(host)
         self.pedges = pattern.edges
         self.pdeg = [pattern.degree(v) for v in range(pattern.n)]
         self.budget = budget
@@ -255,8 +229,7 @@ class _Search:
                 for d, c in enumerate(perm):
                     self.reads[d][c] |= 1 << k
             self.all_perms = (1 << len(pperms)) - 1
-        self.pmask = tuple(sum(1 << w for w in pattern.neighbors(v))
-                           for v in range(pattern.n))
+        self.pmask = neighbor_masks(pattern)
         self._nbr_cache: Dict[int, int] = {}
         self._comp_cache: Dict[int, tuple] = {}
         self._image_cache: Dict[int, tuple] = {}
@@ -359,7 +332,7 @@ class _Search:
         got = self._nbr_cache.get(mask)
         if got is None:
             out = 0
-            for v in _bits(mask):
+            for v in bits(mask):
                 out |= self.adj[v]
             if len(self._nbr_cache) < 1_000_000:
                 self._nbr_cache[mask] = out
@@ -371,7 +344,7 @@ class _Search:
         # many states share one free mask, so they are kept per mask
         got = self._comp_cache.get(free)
         if got is None:
-            comps = _free_components(free, self.adj)
+            comps = components(free, self.adj)
             got = (comps, [self._nbrmask(c) for c in comps])
             if len(self._comp_cache) < 200_000:
                 self._comp_cache[free] = got
@@ -429,7 +402,7 @@ class _Search:
             changed = False
             for q, r in arcs:
                 reach = 0
-                for v in _bits(dom[r]):
+                for v in bits(dom[r]):
                     reach |= self.adj[v]
                 d = dom[q] & reach
                 if d != dom[q]:
@@ -483,7 +456,7 @@ class _Search:
             reps = automorphism_orbits(self.host)
             candidates = [v for v in range(self.host.n) if reps[v] == v and free >> v & 1]
         else:
-            candidates = list(_bits(free))
+            candidates = list(bits(free))
         for v in candidates:
             frags[pick] = 1 << v
             got = self._solve(frags, free & ~(1 << v))
@@ -525,26 +498,15 @@ class _Search:
         # adjacent unseeded branch sets grow inside free vertices, so a
         # connected group of unseeded pattern vertices must fit together
         # into a single free component feasible for every one of them
-        while left:
-            seed = left & -left
-            grp = seed
-            frontier = seed
-            while frontier:
-                grow = 0
-                for v in _bits(frontier):
-                    grow |= self.pmask[v]
-                grow &= left & ~grp
-                grp |= grow
-                frontier = grow
-            left &= ~grp
-            if grp == seed:
+        for grp in components(left, self.pmask):
+            if grp.bit_count() == 1:
                 continue
             inter = -1
-            for p in _bits(grp):
+            for p in bits(grp):
                 inter &= feasible[p]
             if not inter:
                 return False
-            if max(comps[ci].bit_count() for ci in _bits(inter)) < grp.bit_count():
+            if max(comps[ci].bit_count() for ci in bits(inter)) < grp.bit_count():
                 return False
         return True
 
@@ -574,7 +536,7 @@ class _Search:
                 return None
             pm = path_masks
             before_last = pm & ~(1 << last)
-            for w in _bits(self.adj[last] & free & ~pm):
+            for w in bits(self.adj[last] & free & ~pm):
                 if self.adj[w] & before_last:
                     continue  # chord back into the path
                 if self.adj[w] & fi:
@@ -586,7 +548,7 @@ class _Search:
                 path.pop()
             return None
 
-        for v1 in _bits(start):
+        for v1 in bits(start):
             got = extend(1 << v1, [v1], v1)
             if got:
                 return got
@@ -635,7 +597,7 @@ class _Search:
                 return None
             pm = path_masks
             before_last = pm & ~(1 << last)
-            for w in _bits(self.adj[last] & free & ~pm):
+            for w in bits(self.adj[last] & free & ~pm):
                 if self.adj[w] & before_last:
                     continue
                 if self.adj[w] & fi:
@@ -647,7 +609,7 @@ class _Search:
                 path.pop()
             return None
 
-        for v1 in _bits(start):
+        for v1 in bits(start):
             got = extend(1 << v1, [v1], v1)
             if got:
                 return got
@@ -674,9 +636,9 @@ class _Search:
 
 
 def _model_from_frags(host: Graph, pattern: Graph, frags: list) -> MinorModel:
-    branch = {p: frozenset(_bits(frags[p])) for p in range(pattern.n)}
+    branch = {p: frozenset(bits(frags[p])) for p in range(pattern.n)}
     witnesses = {}
-    adj = tuple(sum(1 << w for w in host.neighbors(v)) for v in range(host.n))
+    adj = neighbor_masks(host)
     for (i, j) in pattern.edges:
         found = None
         for a in sorted(branch[i]):
@@ -708,7 +670,7 @@ def contraction_probe(host: Graph, k: int) -> Optional[MinorModel]:
     need = k * (k - 1) // 2
     if host.n < k or host.m < need:
         return None
-    adj = [sum(1 << w for w in host.neighbors(v)) for v in range(host.n)]
+    adj = neighbor_masks(host)
     edges = host.edges
     forced = itertools.chain([()], ((e,) for e in edges),
                              itertools.combinations(edges, 2)
@@ -720,7 +682,7 @@ def contraction_probe(host: Graph, k: int) -> Optional[MinorModel]:
     return None
 
 
-def _contract_greedily(adj: list, m: int, fixed, k: int, need: int) -> Optional[list]:
+def _contract_greedily(adj: Tuple[int, ...], m: int, fixed, k: int, need: int) -> Optional[list]:
     """Branch sets of a K_k reached by one probe run, or None.
 
     The edges in ``fixed`` are contracted first, in host labels. A run
@@ -734,15 +696,15 @@ def _contract_greedily(adj: list, m: int, fixed, k: int, need: int) -> Optional[
     fixed = iter(fixed)
     while m - (count - k) >= need:
         if count == k:
-            return [frags[r] for r in _bits(alive)]
+            return [frags[r] for r in bits(alive)]
         forced = next(fixed, None)
         if forced is not None:
-            u, v = sorted(next(r for r in _bits(alive) if frags[r] >> a & 1) for a in forced)
+            u, v = sorted(next(r for r in bits(alive) if frags[r] >> a & 1) for a in forced)
         else:
             # the first edge losing no more than itself cannot be beaten
             best = (len(adj), 0, 0)
-            for x in _bits(alive):
-                for y in _bits(adj[x] >> (x + 1) << (x + 1)):
+            for x in bits(alive):
+                for y in bits(adj[x] >> (x + 1) << (x + 1)):
                     common = (adj[x] & adj[y]).bit_count()
                     if common < best[0]:
                         best = (common, x, y)
@@ -752,7 +714,7 @@ def _contract_greedily(adj: list, m: int, fixed, k: int, need: int) -> Optional[
         # v merges into u
         m -= 1 + (adj[u] & adj[v]).bit_count()
         bu, bv = 1 << u, 1 << v
-        for w in _bits(adj[v] & ~bu):
+        for w in bits(adj[v] & ~bu):
             adj[w] = adj[w] & ~bv | bu
         adj[u] = (adj[u] | adj[v]) & ~(bu | bv)
         frags[u] |= frags[v]

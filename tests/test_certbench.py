@@ -30,3 +30,27 @@ def test_round_zero_of_a_gated_workload_passes_its_checks(workloads, name):
         problems += op.check(op.run())
     assert problems == []
     assert workloads.selftest_problems() == []
+
+
+@pytest.mark.parametrize("name", ["paper-small", "refute-13"])
+def test_round_zero_passes_its_checks_when_traced(workloads, name):
+    # the traced round of ``run.py --trace 1``: the tracer wraps every
+    # function linking imports from graph, the connectivity primitives
+    # included, and puts every patched attribute back afterwards
+    spans = importlib.import_module("spans")
+    patched = [spans.linking, spans.minors, spans.networkx]
+    before = [dict(vars(module)) for module in patched]
+    tracer = spans.Tracer()
+    ops = workloads.build(name, seed=1, round_index=0, span=tracer.span)
+    tracer.install()
+    try:
+        results = [op.run() for op in ops]
+    finally:
+        tracer.restore()
+    assert [dict(vars(module)) for module in patched] == before
+    problems = []
+    for op, result in zip(ops, results):
+        problems += op.check(result)
+    assert problems == []
+    assert set(tracer.summary(1.0)) == set(spans.METRICS)
+    assert {"graph.components", "graph.neighbor_masks"} <= {span[0] for span in tracer.spans}

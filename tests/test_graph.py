@@ -1,16 +1,19 @@
 import itertools
 import random
 
+import networkx as nx
 import pytest
 
 from maxnil_lab.errors import GraphError
 from maxnil_lab.graph import (
     Graph,
     add_edge,
+    bits,
     build_graph,
     circulant_graph,
     complete_graph,
     complete_multipartite,
+    components,
     connected_components,
     contract_edge,
     cycle_graph,
@@ -23,6 +26,7 @@ from maxnil_lab.graph import (
     is_triangular_edge,
     is_triangular_graph,
     minimal_vertex_cuts,
+    neighbor_masks,
     non_triangular_edges,
     path_graph,
     permute_vertices,
@@ -234,6 +238,32 @@ def test_components_and_union():
     assert connected_components(g) == ((0, 1, 2), (3, 4))
     assert not is_connected(g)
     assert is_connected(TRIANGLE)
+
+
+def test_components_match_networkx():
+    # components of g minus a random removed set, as vertex tuples and
+    # as masks, against networkx on the same vertices, including the
+    # empty and one-vertex graphs and removed sets that take everything
+    rng = random.Random(23)
+    cases = [(Graph(0), ()), (Graph(1), ()), (Graph(1), (0,))]
+    for _ in range(400):
+        n = rng.randint(0, 16)
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2)
+                      if rng.random() < rng.choice((0.1, 0.2, 0.4))])
+        cases.append((g, rng.sample(range(n), rng.randint(0, n))))
+    for g, removed in cases:
+        ref = nx.Graph(g.edges)
+        ref.add_nodes_from(range(g.n))
+        ref.remove_nodes_from(removed)
+        want = sorted(tuple(sorted(c)) for c in nx.connected_components(ref))
+        assert connected_components(g, removed) == tuple(want)
+        kept = sum(1 << v for v in range(g.n) if v not in removed)
+        masks = components(kept, neighbor_masks(g))
+        assert [tuple(bits(c)) for c in masks] == want
+    assert list(bits(0b101001)) == [0, 3, 5]
+    assert neighbor_masks(path_graph(3)) == (0b010, 0b101, 0b010)
+    with pytest.raises(GraphError):
+        connected_components(TRIANGLE, [3])
 
 
 def test_permute_and_induced():

@@ -617,7 +617,7 @@ def test_scan_splits_hosts_at_adjacent_cut_pairs(monkeypatch):
             solved.clear()
             got = linking._augmentation_is_linked(aug, None)
             assert got == is_intrinsically_linked(aug)[0]
-            assert solved and all(linking._adjacent_cut_pair(s) is None for s in solved)
+            assert solved and all(linking._cut_pair_sides(s) is None for s in solved)
             split += any(s.n < aug.n for s in solved)
             pairs = linking._linked_pairs(aug)
             assert (pairs is not None) == got
@@ -670,6 +670,33 @@ def test_edge_sum_decomposes_to_sides():
     assert verify_minor_model(k6_tail, model.pattern, model)
     assert model.pattern.n == 6
     assert all(6 not in bs for bs in model.branch_sets.values())
+
+
+def test_cut_pair_sides_match_the_definition():
+    # the first edge in g.edges order whose ends disconnect g, its sides
+    # the components left by the pair, each with both ends, by lowest
+    # vertex; None when no edge disconnects g
+    rng = random.Random(29)
+    hosts = [Graph(0), Graph(2, [(0, 1)]), complete_graph(5), cycle_graph(5),
+             theorem_main_graph(14), disjoint_union(complete_graph(4), complete_graph(3))]
+    for _ in range(300):
+        n = rng.randint(3, 12)
+        hosts.append(Graph(n, [e for e in itertools.combinations(range(n), 2)
+                               if rng.random() < rng.choice((0.25, 0.4, 0.6))]))
+    split = 0
+    for g in hosts:
+        want = None
+        for u, v in g.edges:
+            rest = nx.Graph(g.edges)
+            rest.add_nodes_from(range(g.n))
+            rest.remove_nodes_from((u, v))
+            comps = sorted(nx.connected_components(rest), key=min)
+            if len(comps) > 1:
+                want = [sorted(c | {u, v}) for c in comps]
+                break
+        assert linking._cut_pair_sides(g) == want
+        split += want is not None
+    assert 50 <= split <= len(hosts) - 50
 
 
 def test_cycle_cap_overflow_falls_back_to_the_search(monkeypatch):

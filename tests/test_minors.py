@@ -9,9 +9,11 @@ from maxnil_lab import families
 from maxnil_lab.errors import UndecidedError
 from maxnil_lab.graph import (
     Graph,
+    bits,
     build_graph,
     complete_graph,
     complete_multipartite,
+    components,
     cycle_graph,
     disjoint_union,
     path_graph,
@@ -21,8 +23,6 @@ from maxnil_lab.linking import petersen_family
 from maxnil_lab.minors import (
     MinorModel,
     _automorphisms,
-    _bits,
-    _free_components,
     _model_from_frags,
     _mask_tables,
     _Search,
@@ -254,7 +254,7 @@ def numpy_state_key(search):
 def reference_feasible(search, frags, free, pending, unseeded):
     # reference: the pruning with Python sets and components recomputed
     # at every call
-    comps = _free_components(free, search.adj)
+    comps = components(free, search.adj)
     cadj = [search._nbrmask(c) for c in comps]
     feasible_comps = {}
     for p in unseeded:
@@ -277,13 +277,13 @@ def reference_feasible(search, frags, free, pending, unseeded):
         grp = frontier = left & -left
         while frontier:
             grow = 0
-            for v in _bits(frontier):
+            for v in bits(frontier):
                 grow |= search.pmask[v]
             grow &= left & ~grp
             grp |= grow
             frontier = grow
         left &= ~grp
-        members = list(_bits(grp))
+        members = list(bits(grp))
         if len(members) == 1:
             continue
         inter = set.intersection(*(feasible_comps[p] for p in members))
@@ -322,7 +322,7 @@ def random_states(host, pattern, rng, count):
             frags[p] = 0
         states.append(frags)
         h = rng.choice(hauts)
-        moved = [sum(1 << h[v] for v in _bits(f)) for f in frags]
+        moved = [sum(1 << h[v] for v in bits(f)) for f in frags]
         states.append(moved)
         q = rng.choice(pauts)
         states.append([moved[q[c]] for c in range(pattern.n)])
@@ -346,7 +346,7 @@ def test_state_keys_match_numpy_reference():
         for _ in range(200):
             free = rng.getrandbits(host.n) & full
             comps, nbrs = search._components(free)
-            assert comps == _free_components(free, search.adj)
+            assert comps == components(free, search.adj)
             assert nbrs == [search._nbrmask(c) for c in comps]
             assert search._components(free) is search._components(free)
 
@@ -385,7 +385,7 @@ def zero_slack_state(host, pattern, rng):
         frags[p] = 1 << v
         free &= ~(1 << v)
     while free.bit_count() > unseeded:
-        grow = [(p, w) for p in seeded for w in _bits(free) if adj[w] & frags[p]]
+        grow = [(p, w) for p in seeded for w in bits(free) if adj[w] & frags[p]]
         if not grow:
             return None
         p, w = rng.choice(grow)
@@ -398,7 +398,7 @@ def completes(host, pattern, frags, free):
     # brute force: some bijection from the unseeded pattern vertices to
     # the free host vertices completes a model around the fixed fragments
     unseeded = [p for p, f in enumerate(frags) if not f]
-    for image in itertools.permutations(_bits(free)):
+    for image in itertools.permutations(bits(free)):
         full = list(frags)
         for p, v in zip(unseeded, image):
             full[p] = 1 << v
