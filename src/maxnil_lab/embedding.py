@@ -50,7 +50,8 @@ a certificate of intrinsic linking with a replay of its own.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter, xor
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import GraphError, UndecidedError
 from .graph import (
@@ -72,7 +73,10 @@ __all__ = [
     "rotation_to_text", "rotation_from_text",
 ]
 
-# simple-cycle enumeration cap; overflow raises UndecidedError
+# simple-cycle enumeration cap; overflow raises UndecidedError. The
+# parity system counts only the short cycles it asks for before its
+# first 0 = 1, so it decides an IL host with more short cycles than the
+# cap when it needs fewer
 CYCLE_CAP = 10 ** 6
 
 
@@ -381,40 +385,87 @@ def _fragment_path(nb: Dict[int, int], att: int, comp: int) -> List[int]:
     raise RuntimeError("a fragment of a block has fewer than two attachments")
 
 
-def enumerate_cycles(g: Graph, cap: int = CYCLE_CAP,
-                     max_len: Optional[int] = None) -> Tuple[Tuple[int, ...], ...]:
+def enumerate_cycles(g: Graph, cap: int = CYCLE_CAP, max_len: Optional[int] = None,
+                     by_length: bool = False
+                     ) -> Union[Tuple[Tuple[int, ...], ...], Iterator[Tuple[int, ...]]]:
     """Every simple cycle, once up to rotation and reflection.
 
     Cycles come out with their smallest vertex first and the smaller of
     the two possible direction-defining neighbors second, in ascending
     DFS order. With ``max_len`` set, only cycles of at most that many
     vertices are listed. More than ``cap`` cycles raises UndecidedError.
-    """
-    out = []
-    path: List[int] = []
-    on_path = set()
-    limit = g.n if max_len is None else max_len
-    nbrs = [sorted(g.neighbors(v)) for v in range(g.n)]
 
-    def grow(root: int, last: int) -> None:
-        for w in nbrs[last]:
-            if w == root and len(path) >= 3 and path[1] < path[-1]:
-                out.append(tuple(path))
-                if len(out) > cap:
-                    raise UndecidedError(
-                        f"more than {cap} cycles; raise the cap to enumerate")
-            elif w > root and w not in on_path and len(path) < limit:
+    With ``by_length`` set, an iterator replaces the tuple. It yields
+    the cycles shortest first, each length in DFS order, which is the
+    stable sort of the tuple by length. A length's cycles are generated
+    only once the shorter ones are used up, and the cap counts the
+    cycles yielded: the error comes only when the one past it is asked
+    for.
+    """
+    limit = g.n if max_len is None else max_len
+    if by_length:
+        return _cycle_walk(g, [(k, k) for k in range(3, limit + 1)], cap)
+    return tuple(_cycle_walk(g, [(3, limit)], cap))
+
+
+def _cycle_walk(g: Graph, spans: Sequence[Tuple[int, int]],
+                cap: int) -> Iterator[Tuple[int, ...]]:
+    """The cycles of each span (shortest, longest) of lengths in turn.
+
+    Within a span, ``enumerate_cycles``' DFS order: each root's paths
+    grow through larger vertices, in ascending order, and a path's
+    cycle comes before those of its extensions. A path grows to a vertex
+    only if the vertex lies close enough to the root, among the
+    vertices above it, to close a cycle of at most ``longest``
+    vertices; that prunes subtrees without such cycles, so no order
+    changes. One root's cycles of a span are listed before the first
+    of them is yielded, but more than ``cap`` cycles raise
+    UndecidedError only once the cycle past the cap is asked for.
+    """
+    nbrs = [sorted(g.neighbors(v)) for v in range(g.n)]
+    views = []
+    for root in range(g.n):
+        # dist: BFS distances from root through the vertices above it
+        dist = {root: 0}
+        queue = [root]
+        for v in queue:
+            for w in nbrs[v]:
+                if w > root and w not in dist:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        views.append((dist, {v: [w for w in nbrs[v] if w in dist] for v in queue}))
+    count = 0
+
+    def grow(last: int) -> None:
+        room = longest - len(path)
+        for w in up[last]:
+            if w == root:
+                if len(path) >= shortest and path[1] < path[-1]:
+                    batch.append(tuple(path))
+                    if count + len(batch) > cap:
+                        raise UndecidedError(
+                            f"more than {cap} cycles; raise the cap to enumerate")
+            elif w not in on_path and dist[w] <= room:
                 path.append(w)
                 on_path.add(w)
-                grow(root, w)
+                grow(w)
                 on_path.remove(w)
                 path.pop()
 
-    for root in range(g.n):
-        path = [root]
-        on_path = {root}
-        grow(root, root)
-    return tuple(out)
+    for shortest, longest in spans:
+        for root, (dist, up) in enumerate(views):
+            batch: List[Tuple[int, ...]] = []
+            path = [root]
+            on_path = {root}
+            try:
+                grow(root)
+            except UndecidedError:
+                # the cycles within the cap still come, so the error
+                # reaches only a caller that asks for the one past it
+                yield from batch[:cap - count]
+                raise
+            count += len(batch)
+            yield from batch
 
 
 def _require_cycle(g: Graph, cycle: Sequence[int]) -> Tuple[int, ...]:
@@ -556,15 +607,19 @@ def linkless_clasps(g: Graph) -> Optional[Tuple[Clasp, ...]]:
     at most n/2 vertices against each fundamental cycle of g - V(C).
     Of two disjoint cycles one has at most n/2 vertices, and linking
     parity is additive in either cycle, so these equations imply the
-    rest. The cycles C come shortest first, a stable sort of
-    ``enumerate_cycles``' order, and each one's equations follow the
+    rest. The cycles C are generated one length at a time, shortest
+    first and each length in ``enumerate_cycles``' order, as the
+    elimination asks for them, and each one's equations follow the
     order of the non-tree edges closing its fundamental cycles. Short
     cycles carry the Conway-Gordon-Sachs obstructions, so an IL host
-    reaches 0 = 1 after few equations; the order changes no verdict.
-    More than ``CYCLE_CAP`` such cycles raises UndecidedError.
-    Before returning, the solution is substituted into every equation,
-    built a second time, and a failure raises RuntimeError. None of
-    this work counts against a caller's search budget.
+    reaches 0 = 1 after few equations and generates no further cycle;
+    the order changes no verdict. More than ``CYCLE_CAP`` cycles
+    generated before that stop raise UndecidedError, so a nIL host
+    with more short cycles than the cap always does, and an IL host
+    only when it needs more. Before returning, the solution is
+    substituted into every equation, built a second time from the
+    cycles generated, and a failure raises RuntimeError. None of this
+    work counts against a caller's search budget.
     """
     return _solve_parity(g, certify=False)[0]
 
@@ -641,25 +696,43 @@ def _solve_parity(g: Graph, certify: bool) -> Tuple[Optional[Tuple[Clasp, ...]],
             table[i][j] = bit | _chords_cross(e, f)
             table[j][i] = bit
     nbrs = [sorted(g.neighbors(v)) for v in range(g.n)]
-    cycles = sorted(enumerate_cycles(g, cap=CYCLE_CAP, max_len=g.n // 2), key=len)
+    ends = [1 << u | 1 << v for u, v in edges]
+    # every short cycle generated so far, indexed by the equations
+    cycles: List[Tuple[int, ...]] = []
 
-    def equations():
+    def generated():
+        for cyc in enumerate_cycles(g, cap=CYCLE_CAP, max_len=g.n // 2, by_length=True):
+            cycles.append(cyc)
+            yield cyc
+
+    def equations(source):
         """(cycle index, closing edge index, row) of every equation."""
-        for ci, cyc in enumerate(cycles):
+        for ci, cyc in enumerate(source):
             on = set(cyc)
-            # weight[f]: every unknown and over-crossing between C and edge f
-            weight = [0] * m
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                weight = [x ^ y for x, y in zip(weight, table[eid[a][b]])]
+            parent = _forest_parents(nbrs, on)
+            on_mask = sum(1 << v for v in cyc)
+            off = [k for k, mask in enumerate(ends) if not mask & on_mask]
+            tree = {eid[p][w] for w, p in parent.items() if p >= 0}
+            closing = [k for k in off if k not in tree]
+            if not closing:
+                continue  # g - V(C) is a forest
+            # weight[f]: every unknown and over-crossing between C and an
+            # edge f avoiding it, the only edges that enter its equations;
+            # a cycle off C has 3 or more edges, so pick returns tuples
+            pick = itemgetter(*off)
+            ring = iter([eid[a][b] for a, b in zip(cyc, cyc[1:] + cyc[:1])])
+            column = pick(table[next(ring)])
+            for i in ring:
+                column = map(xor, column, pick(table[i]))
+            weight = dict(zip(off, column))
             # acc[v] sums the forest path to v, so each non-tree edge
             # closes a fundamental cycle summing to a row
-            parent = _forest_parents(nbrs, on)
             acc: Dict[int, int] = {}
             for w, p in parent.items():
                 acc[w] = 0 if p < 0 else acc[p] ^ weight[eid[p][w]]
-            for k, (u, v) in enumerate(edges):
-                if u not in on and v not in on and parent[u] != v and parent[v] != u:
-                    yield ci, k, acc[u] ^ acc[v] ^ weight[k]
+            for k in closing:
+                u, v = edges[k]
+                yield ci, k, acc[u] ^ acc[v] ^ weight[k]
 
     pivots: Dict[int, int] = {}
     # combos[top]: bit b set when pivot-creating equation b, counted in
@@ -667,7 +740,9 @@ def _solve_parity(g: Graph, certify: bool) -> Tuple[Optional[Tuple[Clasp, ...]],
     # only with ``certify`` set
     combos: Dict[int, int] = {}
     sources: List[Tuple[int, int]] = []
-    for ci, k, row in equations():
+    # the cycles are generated as the elimination asks for them, so an
+    # IL host stops at its first 0 = 1
+    for ci, k, row in equations(generated()):
         combo = 0
         while row > 1:
             top = row.bit_length() - 1
@@ -687,7 +762,7 @@ def _solve_parity(g: Graph, certify: bool) -> Tuple[Optional[Tuple[Clasp, ...]],
             return None, _cycle_pairs(cycles, edges, nbrs, summed + [(ci, k)])
     solution = _back_substitute(pivots)
     # rebuilt rather than kept, so memory stays that of the cycle list
-    for _, _, row in equations():
+    for _, _, row in equations(cycles):
         if (row & solution).bit_count() & 1:
             raise RuntimeError("linkless certificate fails one of its equations")
     return tuple(c for k, c in enumerate(clasps, start=1) if solution >> k & 1), None

@@ -345,6 +345,9 @@ class FamilyParams:
                 f"unknown family {self.family!r}; choose from {', '.join(FAMILY_IDS)}")
         if self.index < 0:
             raise ConfigurationError("family index must be nonnegative")
+        if self.index and FAMILIES[self.family].flag is None:
+            raise ConfigurationError(
+                f"family {self.family!r} takes no index, got {self.index}")
 
 
 def build_family(params: FamilyParams) -> Graph:

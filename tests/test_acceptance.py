@@ -307,6 +307,17 @@ def test_criterion_10s_fig7_family(certified):
     _verdict(10, ok)
 
 
+@pytest.mark.slow
+def test_criterion_10s_dense_fig7_family(certified):
+    # the densest fig7 member in the suite: its base solve lists every
+    # short cycle, and each added edge stops at its first 0 = 1
+    g = fig7_family(16)
+    rep = _certified_maxnil(certified, "fig7_16", g)
+    ok = (g.n, g.m) == (16, 53)
+    ok = ok and (rep.il_status, rep.maxnil_status) == ("nIL", "maxnil")
+    _verdict(10, ok)
+
+
 def test_criterion_11_fig6_k5_sum(certified):
     t0 = time.perf_counter()
     g = k5_sum_example()

@@ -5,6 +5,7 @@ import random
 import networkx as nx
 import pytest
 
+from maxnil_lab import embedding
 from maxnil_lab.embedding import (
     RotationSystem,
     certify_nil_via_lemma21,
@@ -27,6 +28,7 @@ from maxnil_lab.families import (
     graph_g,
     h_k,
     jorgensen_family,
+    jorgensen_graph,
     k5_sum_example,
     q13_3,
     theorem_main_graph,
@@ -445,6 +447,50 @@ def test_parity_decider_orders_cycles_shortest_first():
         assert len(lengths) >= 2
         sizes = [len(c) for c, _ in linked_certificate(g)]
         assert sizes == sorted(sizes) and sizes[0] == min(lengths)
+
+
+def test_cycles_by_length_are_the_stable_sort_of_the_short_cycles():
+    # the parity system takes its cycles C from the by-length iterator;
+    # that it yields the stable sort of the DFS order by length keeps
+    # every equation, and so every certificate, in its old place
+    q = q13_3()
+    rng = random.Random(2024)
+    hosts = [jorgensen_graph(), graph_g(), q, add_edge(q, q.non_edges()[0]),
+             add_edge(q, q.non_edges()[-1]), complete_graph(7)]
+    hosts += [random_host(rng) for _ in range(40)]
+    for g in hosts:
+        short = enumerate_cycles(g, max_len=g.n // 2)
+        lazy = enumerate_cycles(g, max_len=g.n // 2, by_length=True)
+        assert not isinstance(lazy, tuple)
+        assert tuple(lazy) == tuple(sorted(short, key=len))
+        assert tuple(enumerate_cycles(g, by_length=True)) == tuple(
+            sorted(enumerate_cycles(g), key=len))
+    assert list(enumerate_cycles(path_graph(5), by_length=True)) == []
+
+
+def test_cycle_cap_counts_the_cycles_generated_before_the_stop(monkeypatch):
+    # an IL host stops at its first 0 = 1, so a cap above the cycles it
+    # needs but below its short-cycle count still yields a certificate;
+    # a nIL host must list every short cycle and still overflows
+    q = q13_3()
+    aug = add_edge(q, (0, 5))
+    j5 = jorgensen_family(5)
+    want = linked_certificate(aug)
+    cap = 60
+    assert len(enumerate_cycles(aug, max_len=aug.n // 2)) > cap
+    assert len(enumerate_cycles(j5, max_len=j5.n // 2)) > cap
+    monkeypatch.setattr(embedding, "CYCLE_CAP", cap)
+    pairs = linked_certificate(aug)
+    assert pairs == want and verify_linked_certificate(aug, pairs)
+    assert linkless_clasps(aug) is None
+    with pytest.raises(UndecidedError):
+        linkless_clasps(j5)
+    with pytest.raises(UndecidedError):
+        linked_certificate(j5)
+    lazy = enumerate_cycles(j5, cap=cap, by_length=True)
+    assert len([c for _, c in zip(range(cap), lazy)]) == cap
+    with pytest.raises(UndecidedError):
+        next(lazy)
 
 
 def certificate_mutations(g: Graph, pairs):

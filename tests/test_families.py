@@ -11,6 +11,7 @@ from fractions import Fraction
 from maxnil_lab.canon import canonical_form
 from maxnil_lab.errors import ConfigurationError, GraphError
 from maxnil_lab.families import (
+    FAMILIES,
     FamilyParams,
     bounds_table,
     build_family,
@@ -254,3 +255,14 @@ def test_build_family_dispatch():
         FamilyParams("unknown_family")
     with pytest.raises(ConfigurationError):
         FamilyParams("q13_3", -1)
+
+
+def test_family_params_reject_an_index_the_family_does_not_take():
+    # a family without a parameter must not quietly drop a nonzero one
+    for fid, fam in FAMILIES.items():
+        if fam.flag is None:
+            assert build_family(FamilyParams(fid)).n > 0
+            with pytest.raises(ConfigurationError, match="takes no index"):
+                FamilyParams(fid, 3)
+        else:
+            FamilyParams(fid, 3)
