@@ -385,7 +385,7 @@ def _fragment_path(nb: Dict[int, int], att: int, comp: int) -> List[int]:
     raise RuntimeError("a fragment of a block has fewer than two attachments")
 
 
-def enumerate_cycles(g: Graph, cap: int = CYCLE_CAP, max_len: Optional[int] = None,
+def enumerate_cycles(g: Graph, cap: Optional[int] = None, max_len: Optional[int] = None,
                      by_length: bool = False
                      ) -> Union[Tuple[Tuple[int, ...], ...], Iterator[Tuple[int, ...]]]:
     """Every simple cycle, once up to rotation and reflection.
@@ -393,7 +393,8 @@ def enumerate_cycles(g: Graph, cap: int = CYCLE_CAP, max_len: Optional[int] = No
     Cycles come out with their smallest vertex first and the smaller of
     the two possible direction-defining neighbors second, in ascending
     DFS order. With ``max_len`` set, only cycles of at most that many
-    vertices are listed. More than ``cap`` cycles raises UndecidedError.
+    vertices are listed. More than ``cap`` cycles, ``CYCLE_CAP`` as it
+    stands at the call when unset, raises UndecidedError.
 
     With ``by_length`` set, an iterator replaces the tuple. It yields
     the cycles shortest first, each length in DFS order, which is the
@@ -403,6 +404,8 @@ def enumerate_cycles(g: Graph, cap: int = CYCLE_CAP, max_len: Optional[int] = No
     for.
     """
     limit = g.n if max_len is None else max_len
+    if cap is None:
+        cap = CYCLE_CAP
     if by_length:
         return _cycle_walk(g, [(k, k) for k in range(3, limit + 1)], cap)
     return tuple(_cycle_walk(g, [(3, limit)], cap))
@@ -701,7 +704,7 @@ def _solve_parity(g: Graph, certify: bool) -> Tuple[Optional[Tuple[Clasp, ...]],
     cycles: List[Tuple[int, ...]] = []
 
     def generated():
-        for cyc in enumerate_cycles(g, cap=CYCLE_CAP, max_len=g.n // 2, by_length=True):
+        for cyc in enumerate_cycles(g, max_len=g.n // 2, by_length=True):
             cycles.append(cyc)
             yield cyc
 

@@ -25,22 +25,31 @@ the whole branch set of one unseeded vertex, and no seeded fragment
 grows. It is refuted when a pending edge joins two seeded fragments,
 when an unseeded vertex has no free vertex adjacent to all of its
 seeded neighbors, or when arc consistency along the pattern edges
-between unseeded vertices empties one of these candidate sets. This
-cuts only subtrees without a model and leaves the search order as it
-is, so the first model found does not change.
+between unseeded vertices empties one of these candidate sets. Most
+zero-slack states fail this test, so it runs before any other list of
+the state is built. It cuts only subtrees without a model and leaves
+the search order as it is, so the first model found does not change.
 
 The free components and their neighborhoods are kept per free-vertex
 mask, since many states share one, and the feasibility sets are
 bitmasks of component indices. The first seed is
 restricted to host orbit representatives, which is sound because any
 model maps to an equivalent one along an automorphism. States are keyed
-by their fragment tuple, minimized over pattern and host automorphisms,
-and failed states are memoized; this collapses the many connector orders
-that converge on the same partial model and the assignments that differ
-only by a symmetry of either side. Keys are tuples of plain integers:
-each fragment's images under the host automorphisms come from byte
-lookup tables and are kept per fragment. A complete pattern such as K6
-takes every order of its fragments, so its key is the least sorted row;
+by their fragment tuple, minimized over a group of host automorphisms
+times a group of pattern automorphisms, and failed states are memoized;
+this collapses the many connector orders that converge on the same
+partial model and the assignments that differ only by a symmetry of
+either side. Each group is the whole automorphism group of its graph
+when that has at most ``_GROUP_LIMIT`` elements, and otherwise the
+pointwise stabiliser of a vertex prefix (``_key_group``). Because both
+are groups, every state of an orbit gets the same key, so a failure is
+never searched again under another symmetry, and keying by a group
+that contains another never visits more nodes. The symmetry data
+behind the keys is built once per graph. Keys are tuples of plain
+integers: each fragment's images under the host automorphisms are ORed
+together from its vertices' images and kept per fragment. A complete
+pattern such as K6 takes every order of its fragments, so its key is
+the least sorted row;
 for other patterns the least row over the pattern permutations is built
 one position at a time, with the permutations still tied kept as a
 bitmask.
@@ -62,6 +71,7 @@ import itertools
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import or_
 from typing import Dict, Optional, Tuple
 
 from .canon import automorphism_orbits
@@ -150,9 +160,12 @@ def model_from_json_dict(d: dict) -> MinorModel:
 def _automorphisms(g: Graph, limit: Optional[int] = None) -> Tuple[Tuple[int, ...], ...]:
     """Adjacency-preserving vertex permutations, by backtracking.
 
-    With ``limit``, enumeration stops after that many permutations. Any
-    deterministic subset keeps the symmetry dedup sound: states with
-    equal canonical keys are still related by a true automorphism.
+    Permutations come in lexicographic order, so the pointwise
+    stabiliser of each vertex prefix 0..k-1 is a leading run of the
+    list. With ``limit``, enumeration stops after that many. Keying
+    states by the least image over any subset is sound, since equal
+    keys still come from states related by a true automorphism, but
+    only a group maps every state of an orbit to the same key.
     """
     n = g.n
     deg = [g.degree(v) for v in range(n)]
@@ -184,17 +197,50 @@ def _automorphisms(g: Graph, limit: Optional[int] = None) -> Tuple[Tuple[int, ..
     return tuple(perms)
 
 
-def _mask_tables(perm: Tuple[int, ...], n: int) -> list:
-    """Byte lookup tables remapping a vertex bitmask along ``perm``."""
-    tables = []
-    for lo in range(0, n, 8):
-        width = min(8, n - lo)
-        t = [0] * 256
-        for val in range(1, 1 << width):
-            low = val & -val
-            t[val] = t[val ^ low] | 1 << perm[lo + low.bit_length() - 1]
-        tables.append(t)
-    return tables
+# automorphism groups of at most this many elements key the search's
+# states whole; a larger group is cut down to a stabiliser subgroup
+_GROUP_LIMIT = 512
+
+
+@lru_cache(maxsize=256)
+def _key_group(g: Graph) -> Tuple[Tuple[int, ...], ...]:
+    """The automorphism group that keys the branch-set search's states.
+
+    The whole automorphism group when it has at most ``_GROUP_LIMIT``
+    elements, else the pointwise stabiliser of the shortest vertex
+    prefix 0..k-1 that has at most that many. Either is a group, so a
+    state's key is the least image over its whole orbit.
+    """
+    perms = _automorphisms(g, _GROUP_LIMIT + 1)
+    k = 0
+    # each stabiliser leads the lexicographic list, so once it fits in
+    # the limit, the list holds all of it
+    while len(perms) > _GROUP_LIMIT:
+        perms = [p for p in perms if p[k] == k]
+        k += 1
+    return tuple(perms)
+
+
+@lru_cache(maxsize=256)
+def _vertex_images(g: Graph) -> Tuple[Tuple[int, ...], ...]:
+    """Entry v holds the bit of v's image under each ``_key_group`` element."""
+    group = _key_group(g)
+    return tuple(tuple(1 << perm[v] for perm in group) for v in range(g.n))
+
+
+@lru_cache(maxsize=256)
+def _pattern_reads(g: Graph) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
+    """``_key_group`` of a pattern as bitmasks, and the mask of all of it.
+
+    reads[d][c] has bit k set when the k-th permutation reads column c
+    at position d.
+    """
+    group = _key_group(g)
+    reads = [[0] * g.n for _ in range(g.n)]
+    for k, perm in enumerate(group):
+        for d, c in enumerate(perm):
+            reads[d][c] |= 1 << k
+    return tuple(map(tuple, reads)), (1 << len(group)) - 1
 
 
 class _Search:
@@ -209,36 +255,25 @@ class _Search:
         # pattern neighbors per vertex, for the feasibility prunes
         self.pnbrs = [sorted(pattern.neighbors(v)) for v in range(pattern.n)]
         self.failed: set = set()
+        self.memo_hits = 0
         self.complete_pattern = pattern.m == pattern.n * (pattern.n - 1) // 2
-        # symmetry data for state keys: byte lookup tables for a subset
-        # of host automorphisms (the identity alone for an asymmetric
-        # host) and, unless the pattern is complete, a subset of pattern
-        # automorphisms as bitmasks: reads[d][c] has bit k set when the
-        # k-th permutation reads column c at position d
-        hauts = _automorphisms(host, 512)
-        step = max(1, len(hauts) // 32)
-        self.htables = [_mask_tables(perm, host.n) for perm in hauts[::step][:32]]
-        self.shifts = range(0, host.n, 8)
+        # symmetry data for state keys, built once per graph: each host
+        # vertex's images under the host group and, unless the pattern
+        # is complete, the pattern group as bitmasks
+        self.vimages = _vertex_images(host)
+        self.no_images = (0,) * len(_key_group(host))
         if not self.complete_pattern:
-            pauts = _automorphisms(pattern, 512)
-            cap = max(1, 2048 // len(self.htables))
-            step = max(1, (len(pauts) + cap - 1) // cap)
-            pperms = pauts[::step][:cap]
-            self.reads = [[0] * pattern.n for _ in range(pattern.n)]
-            for k, perm in enumerate(pperms):
-                for d, c in enumerate(perm):
-                    self.reads[d][c] |= 1 << k
-            self.all_perms = (1 << len(pperms)) - 1
+            self.reads, self.all_perms = _pattern_reads(pattern)
         self.pmask = neighbor_masks(pattern)
         self._nbr_cache: Dict[int, int] = {}
         self._comp_cache: Dict[int, tuple] = {}
         self._image_cache: Dict[int, tuple] = {}
 
     def _state_key(self, frags: list) -> tuple:
-        # the least row of the state over (a subset of) host x pattern
-        # automorphisms: equal keys always come from genuinely
-        # equivalent states, whatever subset the minimum ranges over.
-        # Row h holds each fragment's image under host automorphism h.
+        # the least row of the state over the host group x the pattern
+        # group: both are groups, so every state of one orbit gets the
+        # same key. Row h holds each fragment's image under host
+        # automorphism h.
         images = [self._images(f) for f in frags]
         if self.complete_pattern:
             # every order of a complete pattern's fragments is a pattern
@@ -251,14 +286,9 @@ class _Search:
         # few distinct fragments recur across states, so they are kept
         got = self._image_cache.get(frag)
         if got is None:
-            parts = [frag >> s & 255 for s in self.shifts]
-            images = []
-            for tables in self.htables:
-                out = 0
-                for t, x in zip(tables, parts):
-                    out |= t[x]
-                images.append(out)
-            got = tuple(images)
+            got = self.no_images
+            for v in bits(frag):
+                got = tuple(map(or_, got, self.vimages[v]))
             if len(self._image_cache) < 100_000:
                 self._image_cache[frag] = got
         return got
@@ -353,40 +383,44 @@ class _Search:
     def _solve(self, frags: list, free: int) -> Optional[list]:
         self._tick()
         nb = [self._nbrmask(f) if f else 0 for f in frags]
+        slack = free.bit_count() - frags.count(0)
+        if slack < 0:
+            return None
+        # most zero-slack states die here, before any list is built
+        if slack == 0 and self._zero_slack_refuted(frags, free, nb):
+            return None
         # an edge is pending until both ends are seeded and adjacent
         pending = [idx for idx, (i, j) in enumerate(self.pedges) if not nb[i] & frags[j]]
         unseeded = [p for p, f in enumerate(frags) if not f]
         if not pending and not unseeded:
             return list(frags)
-        slack = free.bit_count() - len(unseeded)
-        if slack < 0:
-            return None
-        if slack == 0 and self._zero_slack_refuted(frags, free, nb, pending, unseeded):
-            return None
         if not self._feasible(frags, free, pending, unseeded):
             return None
         # only states that survive the cheap verdicts and must branch
         # pay for a canonical key and a slot in the failure memo
         key = self._state_key(frags)
         if key in self.failed:
+            self.memo_hits += 1
             return None
         got = self._branch(frags, free, nb, pending, unseeded)
         if got is None and len(self.failed) < 2_000_000:
             self.failed.add(key)
         return got
 
-    def _zero_slack_refuted(self, frags, free, nb, pending, unseeded) -> bool:
+    def _zero_slack_refuted(self, frags: list, free: int, nb: list) -> bool:
         # as many free vertices as unseeded pattern vertices: each free
         # vertex is the whole branch set of one unseeded vertex, and
-        # every seeded fragment is final
-        for idx in pending:
-            i, j = self.pedges[idx]
-            if frags[i] and frags[j]:
+        # every seeded fragment is final. A pattern edge between two
+        # seeded fragments must already be witnessed.
+        for i, j in self.pedges:
+            if frags[i] and frags[j] and not nb[i] & frags[j]:
                 return True
         # candidate vertices of each unseeded vertex: free vertices
         # adjacent to all of its seeded neighbors
         dom = {}
-        for q in unseeded:
+        for q, f in enumerate(frags):
+            if f:
+                continue
             d = free
             for s in self.pnbrs[q]:
                 if frags[s]:
@@ -396,14 +430,18 @@ class _Search:
             dom[q] = d
         # arc consistency along pattern edges between unseeded vertices:
         # a candidate of q needs a host neighbor among r's candidates
-        arcs = [(q, r) for q in unseeded for r in self.pnbrs[q] if not frags[r]]
+        adj = self.adj
+        arcs = [(q, r) for q in dom for r in self.pnbrs[q] if r in dom]
         changed = True
         while changed:
             changed = False
             for q, r in arcs:
                 reach = 0
-                for v in bits(dom[r]):
-                    reach |= self.adj[v]
+                m = dom[r]
+                while m:
+                    low = m & -m
+                    reach |= adj[low.bit_length() - 1]
+                    m ^= low
                 d = dom[q] & reach
                 if d != dom[q]:
                     if not d:

@@ -173,6 +173,15 @@ def test_cycle_cap_raises():
         enumerate_cycles(complete_graph(9), cap=100)
 
 
+def test_cycle_cap_default_is_read_at_call_time(monkeypatch):
+    # the enumerator's default cap follows a later change of CYCLE_CAP,
+    # so the certificate replay and lemma 21 obey it as the solve does
+    assert len(enumerate_cycles(complete_graph(5))) == 37
+    monkeypatch.setattr(embedding, "CYCLE_CAP", 2)
+    with pytest.raises(UndecidedError):
+        enumerate_cycles(complete_graph(5))
+
+
 def test_facial_cycle_has_empty_side():
     emb = planar_embedding(complete_graph(4))
     empty_sides = 0

@@ -22,9 +22,9 @@ from maxnil_lab.graph import (
 from maxnil_lab.linking import petersen_family
 from maxnil_lab.minors import (
     MinorModel,
-    _automorphisms,
+    _GROUP_LIMIT,
+    _key_group,
     _model_from_frags,
-    _mask_tables,
     _Search,
     contraction_probe,
     find_minor,
@@ -192,50 +192,51 @@ def test_minor_of_dense_random_hosts():
             assert verify_minor_model(g, K5, model)
 
 
+def whole_group(g):
+    """Every automorphism of g, listed by networkx, in lexicographic order."""
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges)
+    matcher = nx.algorithms.isomorphism.GraphMatcher(nxg, nxg)
+    return sorted(tuple(m[v] for v in range(g.n)) for m in matcher.isomorphisms_iter())
+
+
+def key_group(g):
+    # the whole group, which the search keys by when it is small enough
+    group = whole_group(g)
+    assert len(group) <= _GROUP_LIMIT
+    return group
+
+
+def image(frag, perm):
+    return sum(1 << perm[v] for v in bits(frag))
+
+
 def numpy_state_key(search):
     """Reference: the state key computed in numpy for every search.
 
-    Host automorphisms map fragments through byte lookup tables, a
+    Fragments are mapped along each host automorphism bit by bit, a
     complete pattern's rows are sorted, pattern automorphisms permute
     columns, and the key is the bytes of the lexicographically least row.
+    Both groups are listed by networkx, whole.
     """
     host, pattern = search.host, search.pattern
     complete = pattern.m == pattern.n * (pattern.n - 1) // 2
-    hauts = _automorphisms(host, 512)
-    hlut = None
-    if len(hauts) > 1:
-        step = max(1, len(hauts) // 32)
-        hlut = np.array([_mask_tables(perm, host.n) for perm in hauts[::step][:32]],
-                        dtype=np.uint64)
-    nblocks = (host.n + 7) // 8
-    pperms = None
-    if not complete:
-        pauts = _automorphisms(pattern, 512)
-        if len(pauts) > 1:
-            cap = max(1, 2048 // (1 if hlut is None else len(hlut)))
-            step = max(1, (len(pauts) + cap - 1) // cap)
-            pperms = np.array(pauts[::step][:cap], dtype=np.intp)
+    targets = np.uint64(1) << np.array(key_group(host), dtype=np.uint64)
+    vertices = np.arange(host.n, dtype=np.uint64)
+    pperms = None if complete else np.array(key_group(pattern), dtype=np.intp)
     per = max(1, 64 // host.n)
     packing = [range(lo, min(lo + per, pattern.n)) for lo in range(0, pattern.n, per)]
 
     def key(frags):
-        if hlut is None and pperms is None:
-            return tuple(sorted(frags)) if complete else tuple(frags)
         arr = np.array(frags, dtype=np.uint64)
-        if hlut is None:
-            rows = arr[None, :]
-        else:
-            idx = (arr & np.uint64(255)).astype(np.intp)
-            rows = hlut[:, 0, idx]
-            for b in range(1, nblocks):
-                idx = (arr >> np.uint64(8 * b) & np.uint64(255)).astype(np.intp)
-                rows = rows | hlut[:, b, idx]
+        # member[c, v] is 1 when host vertex v lies in fragment c
+        member = arr[:, None] >> vertices & np.uint64(1)
+        rows = (member[None, :, :] * targets[:, None, :]).sum(axis=2, dtype=np.uint64)
         if complete:
             rows = np.sort(rows, axis=1)
-        elif pperms is not None:
+        else:
             rows = rows[:, pperms].reshape(-1, arr.size)
-        if rows.shape[0] == 1:
-            return rows[0].tobytes()
         shift = np.uint64(host.n)
         cand = None
         for group in packing:
@@ -306,11 +307,19 @@ class ReferenceSearch(_Search):
         return reference_feasible(self, frags, free, pending, unseeded)
 
 
+def kneser_5_2():
+    # the Petersen graph as the Kneser graph: 2-subsets of 0..4, adjacent
+    # when disjoint, in lexicographic order
+    pairs = list(itertools.combinations(range(5), 2))
+    return Graph(10, [(a, b) for a, b in itertools.combinations(range(10), 2)
+                      if not set(pairs[a]) & set(pairs[b])])
+
+
 def random_states(host, pattern, rng, count):
     # disjoint fragments, some left empty, plus their images under host
     # automorphisms and pattern relabellings, so equal keys occur
-    hauts = _automorphisms(host, 512)
-    pauts = _automorphisms(pattern, 512)
+    hauts = whole_group(host)
+    pauts = whole_group(pattern)
     states = []
     for _ in range(count):
         frags = [0] * pattern.n
@@ -322,7 +331,7 @@ def random_states(host, pattern, rng, count):
             frags[p] = 0
         states.append(frags)
         h = rng.choice(hauts)
-        moved = [sum(1 << h[v] for v in bits(f)) for f in frags]
+        moved = [image(f, h) for f in frags]
         states.append(moved)
         q = rng.choice(pauts)
         states.append([moved[q[c]] for c in range(pattern.n)])
@@ -361,15 +370,17 @@ def test_search_nodes_match_reference():
     asymmetric_pattern = Graph(7, [(0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 5),
                                    (2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 6), (4, 5),
                                    (4, 6)])
-    assert len(_automorphisms(asymmetric_host)) == len(_automorphisms(asymmetric_pattern)) == 1
+    assert len(whole_group(asymmetric_host)) == len(whole_group(asymmetric_pattern)) == 1
     j1, j2, j3 = (families.jorgensen_family(i) for i in (1, 2, 3))
     cases = [(j2, complete_graph(6)), (j1, family[1]), (j1, family[4]), (j3, family[6]),
-             (asymmetric_host, complete_graph(6)), (j1, asymmetric_pattern)]
+             (asymmetric_host, complete_graph(6)), (j1, asymmetric_pattern),
+             (kneser_5_2(), complete_multipartite(3, 3, 1))]
     for host, pattern in cases:
         new, ref = _Search(host, pattern, None), ReferenceSearch(host, pattern, None)
         got, want = new.run(), ref.run()
         assert got == want
-        assert (new.nodes, len(new.failed)) == (ref.nodes, len(ref.failed)), (host.n, pattern.n)
+        assert ((new.nodes, len(new.failed), new.memo_hits)
+                == (ref.nodes, len(ref.failed), ref.memo_hits)), (host.n, pattern.n)
 
 
 def zero_slack_state(host, pattern, rng):
@@ -423,9 +434,7 @@ def test_zero_slack_refutation_is_sound():
         frags, free = state
         search = _Search(host, pattern, None)
         nb = [search._nbrmask(f) if f else 0 for f in frags]
-        pending = [idx for idx, (i, j) in enumerate(search.pedges) if not nb[i] & frags[j]]
-        unseeded = [p for p, f in enumerate(frags) if not f]
-        if search._zero_slack_refuted(frags, free, nb, pending, unseeded):
+        if search._zero_slack_refuted(frags, free, nb):
             refuted += 1
             assert not completes(host, pattern, frags, free), (host.edges, frags)
         elif completes(host, pattern, frags, free):
@@ -434,8 +443,41 @@ def test_zero_slack_refutation_is_sound():
 
 
 def test_q13_petersen_refutation_node_count():
-    # the zero-slack check prunes about half the nodes of this refutation
+    # the zero-slack check and orbit-exact keys prune about two thirds
+    # of the nodes of this refutation
     petersen = next(p for p in petersen_family() if p.n == 10)
     search = _Search(families.q13_3(), petersen, None)
     assert search.run() is None
-    assert search.nodes <= 100_000
+    assert search.nodes <= 61_000
+    assert 0 < search.memo_hits < search.nodes
+
+
+def test_state_keys_are_orbit_exact():
+    # a state and its image under any automorphism of either side share
+    # one key, because the search keys by whole groups
+    petersen = next(p for p in petersen_family() if p.n == 10)
+    rng = random.Random(25)
+    for host, pattern in ((families.q13_3(), petersen),
+                          (kneser_5_2(), complete_multipartite(3, 3, 1))):
+        search = _Search(host, pattern, None)
+        hauts, pauts = whole_group(host), whole_group(pattern)
+        assert len(hauts) > 1 and len(pauts) > 1
+        for frags in random_states(host, pattern, rng, 10)[::3]:
+            key = search._state_key(frags)
+            for h in hauts:
+                assert search._state_key([image(f, h) for f in frags]) == key
+            for q in pauts:
+                assert search._state_key([frags[q[c]] for c in range(pattern.n)]) == key
+
+
+def test_key_group_of_a_large_group_is_a_prefix_stabiliser():
+    # K_{4,4} has 1,152 automorphisms; those fixing vertex 0 are 144
+    host = complete_multipartite(4, 4)
+    group = whole_group(host)
+    assert len(group) > _GROUP_LIMIT
+    want = [p for p in group if p[0] == 0]
+    assert list(_key_group(host)) == want
+    # closed under composition, so a group
+    members = set(want)
+    assert all(tuple(a[b[v]] for v in range(host.n)) in members for a in want for b in want)
+    assert list(_key_group(families.q13_3())) == whole_group(families.q13_3())
