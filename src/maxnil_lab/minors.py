@@ -47,12 +47,22 @@ never searched again under another symmetry, and keying by a group
 that contains another never visits more nodes. The symmetry data
 behind the keys is built once per graph. Keys are tuples of plain
 integers: each fragment's images under the host automorphisms are ORed
-together from its vertices' images and kept per fragment. A complete
+together from its vertices' images and kept per fragment, with the
+least image and the host automorphisms that attain it. A complete
 pattern such as K6 takes every order of its fragments, so its key is
 the least sorted row;
 for other patterns the least row over the pattern permutations is built
 one position at a time, with the permutations still tied kept as a
-bitmask.
+bitmask. The row's all-zero prefix and the columns read after it depend
+only on which fragments are nonempty and are kept per occupancy mask.
+A bitmask of tied permutations is a coset of a stabiliser, which reads
+only a few columns at each later position, so those columns are kept
+per position and mask, and a tied candidate scans only them.
+
+Each fragment's neighbourhood mask travels with the state: a move
+updates only the fragments it changes, the two that a connector split
+grows or the one that a fresh seed founds, and restores them when it is
+undone.
 
 Everything is deterministic: goals are chosen fail-first with fixed tie
 breaks, vertices ascend, path enumeration is lexicographic. ``budget``
@@ -168,32 +178,33 @@ def _automorphisms(g: Graph, limit: Optional[int] = None) -> Tuple[Tuple[int, ..
     only a group maps every state of an orbit to the same key.
     """
     n = g.n
-    deg = [g.degree(v) for v in range(n)]
+    adj = neighbor_masks(g)
+    deg = [a.bit_count() for a in adj]
     perms: list = []
     assign = [-1] * n
-    used = [False] * n
 
-    def rec(p: int) -> bool:
+    def rec(p: int, used: int) -> bool:
         if limit is not None and len(perms) >= limit:
             return True
         if p == n:
             perms.append(tuple(assign))
             return limit is not None and len(perms) >= limit
+        # v may take p when its neighbours among the images used so far
+        # are exactly the images of p's neighbours among 0..p-1
+        want = 0
+        for q in bits(adj[p] & ((1 << p) - 1)):
+            want |= 1 << assign[q]
         for v in range(n):
-            if used[v] or deg[v] != deg[p]:
-                continue
-            if any(g.has_edge(p, q) != g.has_edge(v, assign[q]) for q in range(p)):
+            if used >> v & 1 or deg[v] != deg[p] or adj[v] & used != want:
                 continue
             assign[p] = v
-            used[v] = True
-            full = rec(p + 1)
-            used[v] = False
+            full = rec(p + 1, used | 1 << v)
             assign[p] = -1
             if full:
                 return True
         return False
 
-    rec(0)
+    rec(0, 0)
     return tuple(perms)
 
 
@@ -268,77 +279,107 @@ class _Search:
         self._nbr_cache: Dict[int, int] = {}
         self._comp_cache: Dict[int, tuple] = {}
         self._image_cache: Dict[int, tuple] = {}
+        self._link_cache: Dict[int, tuple] = {}
+        self._first_cache: Dict[int, tuple] = {}
+        self._col_cache = [{} for _ in range(pattern.n)]
 
     def _state_key(self, frags: list) -> tuple:
         # the least row of the state over the host group x the pattern
         # group: both are groups, so every state of one orbit gets the
         # same key. Row h holds each fragment's image under host
         # automorphism h.
-        images = [self._images(f) for f in frags]
+        cache = self._image_cache
+        entries = [cache.get(f) or self._images(f) for f in frags]
         if self.complete_pattern:
             # every order of a complete pattern's fragments is a pattern
             # automorphism, so the least row of host h is sorted
-            return tuple(min(map(sorted, zip(*images))))
-        return self._least_row(frags, images)
+            return tuple(min(map(sorted, zip(*[e[0] for e in entries]))))
+        return self._least_row(frags, entries)
 
     def _images(self, frag: int) -> tuple:
-        # the fragment mapped along every host automorphism of the key;
-        # few distinct fragments recur across states, so they are kept
-        got = self._image_cache.get(frag)
-        if got is None:
-            got = self.no_images
-            for v in bits(frag):
-                got = tuple(map(or_, got, self.vimages[v]))
-            if len(self._image_cache) < 100_000:
-                self._image_cache[frag] = got
+        # the fragment mapped along every host automorphism of the key,
+        # its least image and the hosts that attain it; few distinct
+        # fragments recur across states, so _state_key keeps them
+        images = self.no_images
+        for v in bits(frag):
+            images = tuple(map(or_, images, self.vimages[v]))
+        least = min(images)
+        got = (images, least, [h for h, x in enumerate(images) if x == least])
+        if len(self._image_cache) < 100_000:
+            self._image_cache[frag] = got
         return got
 
-    def _least_row(self, frags: list, images: list) -> tuple:
+    def _first_columns(self, occupied: int) -> tuple:
+        # the row's all-zero prefix and the columns read right after it
+        # depend only on which fragments are nonempty: empty fragments
+        # map to 0 under every host automorphism, so while the prefix is
+        # all 0 one mask of tied permutations serves every host
+        got = self._first_cache.get(occupied)
+        if got is None:
+            n = len(self.reads)
+            perms = self.all_perms
+            for d in range(n):
+                reads = self.reads[d]
+                empty = 0
+                cols = []
+                for c in range(n):
+                    if reads[c] & perms:
+                        if occupied >> c & 1:
+                            cols.append((c, perms & reads[c]))
+                        else:
+                            empty |= reads[c]
+                if not empty:
+                    break
+                perms &= empty
+            else:
+                d, cols = n, []
+            got = (d, cols)
+            if len(self._first_cache) < 100_000:
+                self._first_cache[occupied] = got
+        return got
+
+    def _columns(self, d: int, mask: int) -> tuple:
+        # the columns that the permutations of mask read at position d;
+        # a mask of tied permutations is a coset, which reads only a few
+        got = tuple(c for c, m in enumerate(self.reads[d]) if m & mask)
+        if len(self._col_cache[d]) < 10_000:
+            self._col_cache[d][mask] = got
+        return got
+
+    def _least_row(self, frags: list, entries: list) -> tuple:
         # lexicographically least row (image of fragment perm[d] at
         # position d) over host automorphisms and pattern permutations,
         # built one position at a time. A candidate is a host with the
         # bitmask of permutations whose rows tie the least prefix so far.
-        # Empty fragments map to 0 under every host automorphism, so
-        # while the prefix is all 0 one mask serves every host.
         n = len(frags)
-        row = []
-        perms = self.all_perms
-        for d in range(n):
-            reads = self.reads[d]
-            empty = 0
-            cols = []
-            for c in range(n):
-                if reads[c] & perms:
-                    if frags[c]:
-                        cols.append(c)
-                    else:
-                        empty |= reads[c]
-            if empty:
-                perms &= empty
-                row.append(0)
-                continue
-            # the first nonempty position splits the candidates by host;
-            # distinct nonempty fragments have distinct images
-            least = min([min(images[c]) for c in cols])
-            row.append(least)
-            cands = [(h, perms & reads[c]) for c in cols
-                     for h, x in enumerate(images[c]) if x == least]
-            break
-        for d in range(len(row), n):
+        occupied = 0
+        for c, f in enumerate(frags):
+            if f:
+                occupied |= 1 << c
+        z, firsts = self._first_columns(occupied)
+        if z == n:
+            return (0,) * n
+        # the first nonempty position splits the candidates by host;
+        # distinct nonempty fragments have distinct images
+        least = min([entries[c][1] for c, _ in firsts])
+        cands = [(h, m) for c, m in firsts if entries[c][1] == least
+                 for h in entries[c][2]]
+        row = [0] * z
+        row.append(least)
+        images = [e[0] for e in entries]
+        for d in range(z + 1, n):
+            known = self._col_cache[d]
             reads = self.reads[d]
             least = None
             tied = []
             for h, mask in cands:
                 low = None
-                keep = 0
-                for c in range(n):
-                    m = reads[c] & mask
-                    if m:
-                        x = images[c][h]
-                        if low is None or x < low:
-                            low, keep = x, m
-                        elif x == low:
-                            keep |= m
+                for c in known.get(mask) or self._columns(d, mask):
+                    x = images[c][h]
+                    if low is None or x < low:
+                        low, keep = x, reads[c] & mask
+                    elif x == low:
+                        keep |= reads[c] & mask
                 if least is None or low < least:
                     least, tied = low, [(h, keep)]
                 elif low == least:
@@ -356,7 +397,7 @@ class _Search:
     def run(self) -> Optional[list]:
         frags = [0] * self.pattern.n
         free = (1 << self.host.n) - 1
-        return self._solve(frags, free)
+        return self._solve(frags, free, [0] * self.pattern.n)
 
     def _nbrmask(self, mask: int) -> int:
         got = self._nbr_cache.get(mask)
@@ -380,9 +421,10 @@ class _Search:
                 self._comp_cache[free] = got
         return got
 
-    def _solve(self, frags: list, free: int) -> Optional[list]:
+    def _solve(self, frags: list, free: int, nb: list) -> Optional[list]:
+        # nb[p] is the neighbourhood of fragment p, 0 when it is empty;
+        # each caller updates the entries its move changes
         self._tick()
-        nb = [self._nbrmask(f) if f else 0 for f in frags]
         slack = free.bit_count() - frags.count(0)
         if slack < 0:
             return None
@@ -417,7 +459,8 @@ class _Search:
                 return True
         # candidate vertices of each unseeded vertex: free vertices
         # adjacent to all of its seeded neighbors
-        dom = {}
+        dom = [0] * len(frags)
+        left = 0
         for q, f in enumerate(frags):
             if f:
                 continue
@@ -428,10 +471,11 @@ class _Search:
             if not d:
                 return True
             dom[q] = d
+            left |= 1 << q
         # arc consistency along pattern edges between unseeded vertices:
         # a candidate of q needs a host neighbor among r's candidates
+        arcs = self._unseeded_links(left)[0]
         adj = self.adj
-        arcs = [(q, r) for q in dom for r in self.pnbrs[q] if r in dom]
         changed = True
         while changed:
             changed = False
@@ -497,10 +541,12 @@ class _Search:
             candidates = list(bits(free))
         for v in candidates:
             frags[pick] = 1 << v
-            got = self._solve(frags, free & ~(1 << v))
+            nb[pick] = self.adj[v]
+            got = self._solve(frags, free & ~(1 << v), nb)
             if got:
                 return got
             frags[pick] = 0
+            nb[pick] = 0
         return None
 
     def _feasible(self, frags, free, pending, unseeded) -> bool:
@@ -536,17 +582,29 @@ class _Search:
         # adjacent unseeded branch sets grow inside free vertices, so a
         # connected group of unseeded pattern vertices must fit together
         # into a single free component feasible for every one of them
-        for grp in components(left, self.pmask):
-            if grp.bit_count() == 1:
-                continue
+        for members, size in self._unseeded_links(left)[1]:
             inter = -1
-            for p in bits(grp):
+            for p in members:
                 inter &= feasible[p]
             if not inter:
                 return False
-            if max(comps[ci].bit_count() for ci in bits(inter)) < grp.bit_count():
+            if max(comps[ci].bit_count() for ci in bits(inter)) < size:
                 return False
         return True
+
+    def _unseeded_links(self, left: int) -> tuple:
+        # per mask of unseeded pattern vertices: the pattern edges among
+        # them as arcs (q, r) both ways, and their connected groups of at
+        # least two vertices as member lists with their sizes
+        got = self._link_cache.get(left)
+        if got is None:
+            arcs = [(q, r) for q in bits(left) for r in self.pnbrs[q] if left >> r & 1]
+            groups = [(tuple(bits(grp)), grp.bit_count())
+                      for grp in components(left, self.pmask) if grp.bit_count() > 1]
+            got = (arcs, groups)
+            if len(self._link_cache) < 100_000:
+                self._link_cache[left] = got
+        return got
 
     def _connect(self, frags, free, nb, i, j) -> Optional[list]:
         # all chordless free paths from fragment i to fragment j
@@ -566,7 +624,7 @@ class _Search:
         def extend(path_masks, path, last):
             self._tick()
             if self.adj[last] & fj:
-                got = self._apply(frags, free, i, j, path)
+                got = self._apply(frags, free, nb, i, j, path)
                 if got:
                     return got
                 return None
@@ -592,22 +650,37 @@ class _Search:
                 return got
         return None
 
-    def _apply(self, frags, free, i, j, path) -> Optional[list]:
+    def _split_masks(self, path) -> tuple:
+        # the path's vertex mask and the neighbourhood of each suffix
+        # path[s:], for s = 0..len(path)
+        adj = self.adj
         mask = 0
-        for v in path:
-            mask |= 1 << v
+        tails = [0] * (len(path) + 1)
+        for s in range(len(path) - 1, -1, -1):
+            mask |= 1 << path[s]
+            tails[s] = tails[s + 1] | adj[path[s]]
+        return mask, tails
+
+    def _apply(self, frags, free, nb, i, j, path) -> Optional[list]:
+        # fragment i takes the prefix path[:s] and j the suffix
+        mask, tails = self._split_masks(path)
         nfree = free & ~mask
+        old_i, old_j = frags[i], frags[j]
+        nb_i, nb_j = nb[i], nb[j]
+        pre = head = 0
         for s in range(len(path) + 1):
-            pre = 0
-            for v in path[:s]:
-                pre |= 1 << v
-            old_i, old_j = frags[i], frags[j]
+            if s:
+                pre |= 1 << path[s - 1]
+                head |= self.adj[path[s - 1]]
             frags[i] = old_i | pre
             frags[j] = old_j | (mask ^ pre)
-            got = self._solve(frags, nfree)
+            nb[i] = nb_i | head
+            nb[j] = nb_j | tails[s]
+            got = self._solve(frags, nfree, nb)
             if got:
                 return got
-            frags[i], frags[j] = old_i, old_j
+        frags[i], frags[j] = old_i, old_j
+        nb[i], nb[j] = nb_i, nb_j
         return None
 
     def _connect_seed(self, frags, free, nb, i, j, n_unseeded) -> Optional[list]:
@@ -628,7 +701,7 @@ class _Search:
 
         def extend(path_masks, path, last):
             self._tick()
-            got = self._apply_seed(frags, free, i, j, path)
+            got = self._apply_seed(frags, free, nb, i, j, path)
             if got:
                 return got
             if len(path) >= limit:
@@ -653,23 +726,26 @@ class _Search:
                 return got
         return None
 
-    def _apply_seed(self, frags, free, i, j, path) -> Optional[list]:
-        mask = 0
-        for v in path:
-            mask |= 1 << v
+    def _apply_seed(self, frags, free, nb, i, j, path) -> Optional[list]:
+        # fragment i takes the prefix path[:s] and the suffix founds j
+        mask, tails = self._split_masks(path)
         nfree = free & ~mask
+        old_i = frags[i]
+        nb_i = nb[i]
+        pre = head = 0
         for s in range(len(path)):
-            pre = 0
-            for v in path[:s]:
-                pre |= 1 << v
-            old_i = frags[i]
+            if s:
+                pre |= 1 << path[s - 1]
+                head |= self.adj[path[s - 1]]
             frags[i] = old_i | pre
             frags[j] = mask ^ pre
-            got = self._solve(frags, nfree)
+            nb[i] = nb_i | head
+            nb[j] = tails[s]
+            got = self._solve(frags, nfree, nb)
             if got:
                 return got
-            frags[i] = old_i
-            frags[j] = 0
+        frags[i], frags[j] = old_i, 0
+        nb[i], nb[j] = nb_i, 0
         return None
 
 

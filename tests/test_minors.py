@@ -17,12 +17,14 @@ from maxnil_lab.graph import (
     cycle_graph,
     disjoint_union,
     path_graph,
+    permute_vertices,
     subdivide_edge,
 )
 from maxnil_lab.linking import petersen_family
 from maxnil_lab.minors import (
     MinorModel,
     _GROUP_LIMIT,
+    _automorphisms,
     _key_group,
     _model_from_frags,
     _Search,
@@ -360,8 +362,13 @@ def test_state_keys_match_numpy_reference():
             assert search._components(free) is search._components(free)
 
 
-def test_search_nodes_match_reference():
-    # the same nodes and failure memo as the numpy key and set pruning:
+def relabelled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return permute_vertices(g, perm)
+
+
+def reference_cases():
     # complete, symmetric and asymmetric patterns, symmetric and
     # asymmetric hosts, refutations and hits
     family = petersen_family()
@@ -372,15 +379,41 @@ def test_search_nodes_match_reference():
                                    (4, 6)])
     assert len(whole_group(asymmetric_host)) == len(whole_group(asymmetric_pattern)) == 1
     j1, j2, j3 = (families.jorgensen_family(i) for i in (1, 2, 3))
-    cases = [(j2, complete_graph(6)), (j1, family[1]), (j1, family[4]), (j3, family[6]),
-             (asymmetric_host, complete_graph(6)), (j1, asymmetric_pattern),
-             (kneser_5_2(), complete_multipartite(3, 3, 1))]
-    for host, pattern in cases:
+    petersen = next(p for p in family if p.n == 10)
+    return [(j2, complete_graph(6)), (j1, family[1]), (j1, family[4]), (j3, family[6]),
+            (asymmetric_host, complete_graph(6)), (j1, asymmetric_pattern),
+            (kneser_5_2(), complete_multipartite(3, 3, 1)),
+            (relabelled(families.q13_3(), 26), petersen)]
+
+
+def test_search_nodes_match_reference():
+    # the same nodes and failure memo as the numpy key and set pruning
+    for host, pattern in reference_cases():
         new, ref = _Search(host, pattern, None), ReferenceSearch(host, pattern, None)
         got, want = new.run(), ref.run()
         assert got == want
         assert ((new.nodes, len(new.failed), new.memo_hits)
                 == (ref.nodes, len(ref.failed), ref.memo_hits)), (host.n, pattern.n)
+
+
+class MaskCheckedSearch(_Search):
+    """The branch-set search, checking the neighbour masks of every node."""
+
+    def _solve(self, frags, free, nb):
+        assert nb == [self._nbrmask(f) if f else 0 for f in frags], (frags, nb)
+        return super()._solve(frags, free, nb)
+
+
+def test_neighbour_masks_follow_every_move():
+    # each move updates only the masks of the fragments it changes; at
+    # every node they must equal the masks computed from scratch
+    petersen = next(p for p in petersen_family() if p.n == 10)
+    for host, pattern in reference_cases() + [(families.q13_3(), petersen)]:
+        search = MaskCheckedSearch(host, pattern, None)
+        got = search.run()
+        assert got is None or verify_minor_model(
+            host, pattern, _model_from_frags(host, pattern, got))
+        assert search.nodes > 0
 
 
 def zero_slack_state(host, pattern, rng):
@@ -448,8 +481,24 @@ def test_q13_petersen_refutation_node_count():
     petersen = next(p for p in petersen_family() if p.n == 10)
     search = _Search(families.q13_3(), petersen, None)
     assert search.run() is None
-    assert search.nodes <= 61_000
-    assert 0 < search.memo_hits < search.nodes
+    assert (search.nodes, len(search.failed), search.memo_hits) == (59_958, 5_660, 2_125)
+
+
+def test_no_state_carries_over_between_searches():
+    # caches live per graph or per search, so running another search in
+    # between moves no count of a repeated one
+    petersen = next(p for p in petersen_family() if p.n == 10)
+    q = families.q13_3()
+
+    def run(host):
+        search = _Search(host, petersen, None)
+        return search.run(), (search.nodes, len(search.failed), search.memo_hits)
+
+    first = run(q)
+    assert run(relabelled(q, 7))[0] is None
+    third = run(q)
+    assert third[0] is None
+    assert third == first
 
 
 def test_state_keys_are_orbit_exact():
@@ -468,6 +517,51 @@ def test_state_keys_are_orbit_exact():
                 assert search._state_key([image(f, h) for f in frags]) == key
             for q in pauts:
                 assert search._state_key([frags[q[c]] for c in range(pattern.n)]) == key
+
+
+def test_state_keys_of_edge_case_states_match_numpy_reference():
+    # the all-empty root state, which the search keys, states with one
+    # nonempty fragment and states with every fragment nonempty, each
+    # keyed by a fresh search and by one whose caches are warm
+    petersen = next(p for p in petersen_family() if p.n == 10)
+    rng = random.Random(2026)
+    for host, pattern in ((families.q13_3(), petersen),
+                          (kneser_5_2(), complete_multipartite(3, 3, 1))):
+        k = pattern.n
+        states = [[0] * k]
+        for c in range(k):
+            frags = [0] * k
+            frags[c] = rng.getrandbits(host.n) or 1
+            states.append(frags)
+        for _ in range(10):
+            order = rng.sample(range(host.n), host.n)
+            frags = [1 << v for v in order[:k]]
+            for v in order[k:]:
+                p = rng.randrange(2 * k)
+                if p < k:
+                    frags[p] |= 1 << v
+            states.append(frags)
+        warm = _Search(host, pattern, None)
+        reference = numpy_state_key(warm)
+        for frags in states + states[::-1]:
+            fresh = _Search(host, pattern, None)
+            for search in (fresh, warm):
+                key = search._state_key(list(frags))
+                assert np.array(key, dtype=np.uint64).tobytes() == reference(frags), frags
+        assert warm._state_key([0] * k) == (0,) * k
+
+
+def test_automorphisms_list_the_whole_group_in_order():
+    rng = random.Random(2026)
+    graphs = [next(p for p in petersen_family() if p.n == 10), kneser_5_2(),
+              families.q13_3(), families.jorgensen_family(5)]
+    graphs += [random_graph(rng.randrange(6, 10), rng.uniform(0.25, 0.75), rng)
+               for _ in range(20)]
+    for g in graphs:
+        assert list(_automorphisms(g)) == whole_group(g)
+    # a limit truncates the same list
+    k44 = complete_multipartite(4, 4)
+    assert list(_automorphisms(k44, 513)) == whole_group(k44)[:513]
 
 
 def test_key_group_of_a_large_group_is_a_prefix_stabiliser():
