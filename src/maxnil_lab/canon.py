@@ -1,24 +1,37 @@
-"""Canonical labeling and isomorphism for small graphs.
+"""Canonical labeling, isomorphism and automorphisms for small graphs.
 
-The canonical form is computed by equitable color refinement followed by
-full individualization of the first non-singleton color class, taking
-the lexicographically least adjacency encoding over all leaves of the
-search tree. Equal byte strings are therefore equivalent to isomorphism.
-Exhaustive branching is fine at the orders handled here (n below ~40,
-and the dense worst cases never exceed n = 10).
+The canonical form is the lexicographically least adjacency encoding
+over the leaves of a search tree: equitable color refinement, then
+individualization of each member of the first non-singleton class in
+turn, so equal byte strings mean isomorphic graphs. A class whose every
+permutation is an automorphism is cut to its first member c. Exhaustive
+branching is fine at the orders handled here (n below ~40, and the
+dense worst cases never exceed n = 10).
+
+The search is also the package's one automorphism engine, as in nauty
+(McKay and Piperno, "Practical graph isomorphism II", 2014): each leaf
+of the least encoding gives the automorphism from the first such leaf's
+labelling to its own, and each cut class the transpositions (c, w).
+They generate the color-preserving group. An automorphism s maps the
+first best leaf to a leaf of the uncut tree; at each cut class on the
+way down, the transposition (c, s(v)) fixes the vertices above and
+moves the path back onto c, so the corrected s ends on a visited best
+leaf and is the automorphism recorded there. One search per graph and
+coloring serves the form and the generators, from a bounded cache.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Optional, Sequence, Tuple
 
 from .graph import Graph
 
+Perm = Tuple[int, ...]
 
-def _refine(adj: Sequence[frozenset], coloring: list) -> list:
+
+def _refine(adj: Sequence[frozenset], colors: list) -> list:
     n = len(adj)
-    colors = list(coloring)
     while True:
         sig = [(colors[v], tuple(sorted(colors[u] for u in adj[v]))) for v in range(n)]
         order = {s: i for i, s in enumerate(sorted(set(sig)))}
@@ -28,24 +41,15 @@ def _refine(adj: Sequence[frozenset], coloring: list) -> list:
         colors = new
 
 
-def _encode(g: Graph, perm: Sequence[int]) -> bytes:
-    # perm[v] = position of v in the canonical order
-    n = g.n
-    inv = [0] * n
-    for v, p in enumerate(perm):
-        inv[p] = v
-    bits = bytearray()
-    acc = cnt = 0
-    for j in range(1, n):
+def _encode(g: Graph, inv: Sequence[int]) -> bytes:
+    # one bit per pair of positions (inv[p] is at p), zero-padded to bytes
+    word = 0
+    for j in range(1, g.n):
         for i in range(j):
-            acc = acc << 1 | (1 if g.has_edge(inv[i], inv[j]) else 0)
-            cnt += 1
-            if cnt == 8:
-                bits.append(acc)
-                acc = cnt = 0
-    if cnt:
-        bits.append(acc << (8 - cnt))
-    return bytes([n]) + bytes(bits)
+            word = word << 1 | (inv[i] in g._adj[inv[j]])
+    pairs = g.n * (g.n - 1) // 2
+    size = (pairs + 7) // 8
+    return bytes([g.n]) + (word << (8 * size - pairs)).to_bytes(size, "big")
 
 
 def _interchangeable(adj: Sequence[frozenset], cell: list) -> bool:
@@ -62,28 +66,48 @@ def _interchangeable(adj: Sequence[frozenset], cell: list) -> bool:
     return True
 
 
-def _search(g: Graph, coloring: list) -> bytes:
-    coloring = _refine(g._adj, coloring)
-    cells: dict = {}
-    for v, c in enumerate(coloring):
-        cells.setdefault(c, []).append(v)
-    target = None
-    for c in sorted(cells):
-        if len(cells[c]) > 1:
-            target = cells[c]
-            break
-    if target is None:
-        return _encode(g, coloring)
-    if _interchangeable(g._adj, target):
-        target = target[:1]
-    best: Optional[bytes] = None
-    for v in target:
-        child = [2 * c for c in coloring]
-        child[v] -= 1
-        enc = _search(g, child)
-        if best is None or enc < best:
-            best = enc
-    return best
+@lru_cache(maxsize=1024)
+def _search(g: Graph, coloring: Tuple[int, ...]) -> Tuple[bytes, Tuple[Perm, ...]]:
+    best: list = [None, None]  # least encoding, labelling of its first leaf
+    leaves: list = []
+    swaps: list = []
+
+    def visit(colors: list) -> None:
+        colors = _refine(g._adj, colors)
+        cells: dict = {}
+        for v, c in enumerate(colors):
+            cells.setdefault(c, []).append(v)
+        target = next((cells[c] for c in sorted(cells) if len(cells[c]) > 1), None)
+        if target is None:
+            # a discrete coloring is a labelling: colors[v] = position of v
+            inv = sorted(range(g.n), key=colors.__getitem__)
+            enc = _encode(g, inv)
+            if best[0] is None or enc < best[0]:
+                best[:] = enc, colors
+                leaves.clear()
+            elif enc == best[0]:
+                leaves.append(tuple(inv[p] for p in best[1]))
+            return
+        if _interchangeable(g._adj, target):
+            for w in target[1:]:
+                swap = list(range(g.n))
+                swap[target[0]], swap[w] = w, target[0]
+                swaps.append(tuple(swap))
+            target = target[:1]
+        for v in target:
+            child = [2 * c for c in colors]
+            child[v] -= 1
+            visit(child)
+
+    visit(list(coloring))
+    return best[0], tuple(dict.fromkeys(leaves + swaps))
+
+
+def _colored_search(g: Graph, colors: Optional[Sequence[int]]) -> Tuple[bytes, Tuple[Perm, ...]]:
+    init = tuple(colors) if colors is not None else (0,) * g.n
+    if len(init) != g.n:
+        raise ValueError(f"expected {g.n} colors, got {len(init)}")
+    return _search(g, init)
 
 
 def canonical_form(g: Graph, colors: Optional[Sequence[int]] = None) -> bytes:
@@ -93,12 +117,51 @@ def canonical_form(g: Graph, colors: Optional[Sequence[int]] = None) -> bytes:
     two colored graphs get the same form iff a color-preserving
     isomorphism exists.
     """
-    if g.n == 0:
-        return b"\x00"
-    init = list(colors) if colors is not None else [0] * g.n
-    if len(init) != g.n:
-        raise ValueError(f"expected {g.n} colors, got {len(init)}")
-    return _search(g, init)
+    return _colored_search(g, colors)[0]
+
+
+def automorphism_generators(g: Graph, colors: Optional[Sequence[int]] = None) -> Tuple[Perm, ...]:
+    """Generators p (v -> p[v]) of the color-preserving automorphism group."""
+    return _colored_search(g, colors)[1]
+
+
+def automorphism_group(g: Graph, colors: Optional[Sequence[int]] = None,
+                       limit: Optional[int] = None) -> Optional[Tuple[Perm, ...]]:
+    """Every color-preserving automorphism of g, in lexicographic order,
+    or None once there turn out to be more than ``limit``."""
+    group = {tuple(range(g.n))}
+    kept: list = []
+    for gen in automorphism_generators(g, colors):
+        if gen in group:
+            continue
+        # only a generator the group so far misses is closed in
+        kept.append(gen)
+        grown = list(group)
+        while grown:
+            grown = {tuple(a[x] for x in s) for a in grown for s in kept} - group
+            group |= grown
+            if limit is not None and len(group) > limit:
+                return None
+    return tuple(sorted(group))
+
+
+def orbit_representatives(points: Sequence[Hashable], gens: Sequence[Perm],
+                          image: Callable[[Perm, Hashable], Hashable]) -> Dict:
+    """The smallest member of its orbit under the group that ``gens``
+    generates acting by ``image(p, x)``, for each point in input order."""
+    parent = {x: x for x in points}
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for p in gens:
+        for x in points:
+            a, b = root(x), root(image(p, x))
+            parent[max(a, b)] = min(a, b)
+    return {x: root(x) for x in points}
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:
@@ -109,22 +172,7 @@ def is_isomorphic(g1: Graph, g2: Graph) -> bool:
     return canonical_form(g1) == canonical_form(g2)
 
 
-@lru_cache(maxsize=1024)
 def automorphism_orbits(g: Graph) -> Tuple[int, ...]:
-    """Orbit representative (smallest member) for each vertex.
-
-    Vertices u, v lie in one orbit iff marking u and marking v yield the
-    same canonical form, so the computation is exact, not heuristic.
-    """
-    keys = {}
-    reps = [0] * g.n
-    for v in range(g.n):
-        colors = [0] * g.n
-        colors[v] = 1
-        key = canonical_form(g, colors)
-        if key in keys:
-            reps[v] = keys[key]
-        else:
-            keys[key] = v
-            reps[v] = v
-    return tuple(reps)
+    """Orbit representative (smallest member) for each vertex."""
+    reps = orbit_representatives(range(g.n), automorphism_generators(g), lambda p, v: p[v])
+    return tuple(reps.values())

@@ -83,11 +83,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_range(text: str) -> Tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    v = int(text)
-    return v, v
+    lo, sep, hi = text.partition("..")
+    try:
+        first, last = int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise ConfigurationError(f"expected an integer or a range lo..hi, got {text!r}") from None
+    if first > last:
+        raise ConfigurationError(f"range {text!r} is empty: {first} > {last}")
+    return first, last
 
 
 def _family_values(args) -> Tuple[str, Optional[str]]:

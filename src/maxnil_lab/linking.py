@@ -65,8 +65,8 @@ Maxnility and K6-maximality scan one non-edge per orbit of Aut(G),
 the smallest one, in lexicographic order: adding two edges of one orbit
 gives isomorphic hosts, so one search decides the whole orbit, and the
 smallest failing representative is the smallest failing edge. Orbits
-are exact, computed from canonical forms with the pair's endpoints
-marked. G is tested for apexness once, and the base IL test of a
+are exact, read off the automorphism generators of one canonical search
+of G. G is tested for apexness once, and the base IL test of a
 connected G reuses the answer, as does the base K6 test when its probe
 misses on the whole of G. When G is apex, an apex G+e is nIL at once;
 when G is not, no G+e is apex and the test is skipped. The
@@ -101,7 +101,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .canon import canonical_form
+from .canon import automorphism_generators, canonical_form, orbit_representatives
 from .embedding import (
     CyclePair,
     is_planar,
@@ -478,16 +478,11 @@ def _scan_chunk(args) -> Tuple[str, Optional[Edge]]:
 def _non_edge_orbits(g: Graph) -> Dict[Edge, Edge]:
     """Smallest member of its Aut(g) orbit, for each non-edge of g.
 
-    Non-edges uv and xy lie in one orbit iff marking {u, v} and marking
-    {x, y} give the same canonical form, so the orbits are exact.
+    The orbits are exact, those of the group that one canonical search
+    of g generates.
     """
-    first: Dict[bytes, Edge] = {}
-    reps: Dict[Edge, Edge] = {}
-    for u, v in g.non_edges():
-        colors = [0] * g.n
-        colors[u] = colors[v] = 1
-        reps[(u, v)] = first.setdefault(canonical_form(g, colors), (u, v))
-    return reps
+    return orbit_representatives(g.non_edges(), automorphism_generators(g),
+                                 lambda p, e: tuple(sorted((p[e[0]], p[e[1]]))))
 
 
 def _scan_augmentations(g: Graph, threads: int, budget: Optional[int],

@@ -44,11 +44,12 @@ when that has at most ``_GROUP_LIMIT`` elements, and otherwise the
 pointwise stabiliser of a vertex prefix (``_key_group``). Because both
 are groups, every state of an orbit gets the same key, so a failure is
 never searched again under another symmetry, and keying by a group
-that contains another never visits more nodes. The symmetry data
-behind the keys is built once per graph. Keys are tuples of plain
-integers: each fragment's images under the host automorphisms are ORed
-together from its vertices' images and kept per fragment, with the
-least image and the host automorphisms that attain it. A complete
+that contains another never visits more nodes. Both groups and the
+first seed's orbits come from ``canon``'s canonical search, and the
+symmetry data behind the keys is built once per graph. Keys are tuples
+of plain integers: each fragment's images under the host automorphisms
+are ORed together from its vertices' images and kept per fragment, with
+the least image and the host automorphisms that attain it. A complete
 pattern such as K6 takes every order of its fragments, so its key is
 the least sorted row;
 for other patterns the least row over the pattern permutations is built
@@ -84,7 +85,7 @@ from functools import lru_cache
 from operator import or_
 from typing import Dict, Optional, Tuple
 
-from .canon import automorphism_orbits
+from .canon import automorphism_group, automorphism_orbits
 from .errors import UndecidedError
 from .formats import graph6_decode, graph6_encode
 from .graph import Edge, Graph, bits, complete_graph, components, neighbor_masks
@@ -166,48 +167,6 @@ def model_from_json_dict(d: dict) -> MinorModel:
     return MinorModel(branch, wit, pat)
 
 
-@lru_cache(maxsize=256)
-def _automorphisms(g: Graph, limit: Optional[int] = None) -> Tuple[Tuple[int, ...], ...]:
-    """Adjacency-preserving vertex permutations, by backtracking.
-
-    Permutations come in lexicographic order, so the pointwise
-    stabiliser of each vertex prefix 0..k-1 is a leading run of the
-    list. With ``limit``, enumeration stops after that many. Keying
-    states by the least image over any subset is sound, since equal
-    keys still come from states related by a true automorphism, but
-    only a group maps every state of an orbit to the same key.
-    """
-    n = g.n
-    adj = neighbor_masks(g)
-    deg = [a.bit_count() for a in adj]
-    perms: list = []
-    assign = [-1] * n
-
-    def rec(p: int, used: int) -> bool:
-        if limit is not None and len(perms) >= limit:
-            return True
-        if p == n:
-            perms.append(tuple(assign))
-            return limit is not None and len(perms) >= limit
-        # v may take p when its neighbours among the images used so far
-        # are exactly the images of p's neighbours among 0..p-1
-        want = 0
-        for q in bits(adj[p] & ((1 << p) - 1)):
-            want |= 1 << assign[q]
-        for v in range(n):
-            if used >> v & 1 or deg[v] != deg[p] or adj[v] & used != want:
-                continue
-            assign[p] = v
-            full = rec(p + 1, used | 1 << v)
-            assign[p] = -1
-            if full:
-                return True
-        return False
-
-    rec(0, 0)
-    return tuple(perms)
-
-
 # automorphism groups of at most this many elements key the search's
 # states whole; a larger group is cut down to a stabiliser subgroup
 _GROUP_LIMIT = 512
@@ -219,17 +178,15 @@ def _key_group(g: Graph) -> Tuple[Tuple[int, ...], ...]:
 
     The whole automorphism group when it has at most ``_GROUP_LIMIT``
     elements, else the pointwise stabiliser of the shortest vertex
-    prefix 0..k-1 that has at most that many. Either is a group, so a
-    state's key is the least image over its whole orbit.
+    prefix 0..k-1 (colored apart) that has at most that many. Either is
+    a group, so a state's key is the least image over its whole orbit.
     """
-    perms = _automorphisms(g, _GROUP_LIMIT + 1)
     k = 0
-    # each stabiliser leads the lexicographic list, so once it fits in
-    # the limit, the list holds all of it
-    while len(perms) > _GROUP_LIMIT:
-        perms = [p for p in perms if p[k] == k]
+    while True:
+        group = automorphism_group(g, list(range(k)) + [k] * (g.n - k), _GROUP_LIMIT)
+        if group is not None:
+            return group
         k += 1
-    return tuple(perms)
 
 
 @lru_cache(maxsize=256)

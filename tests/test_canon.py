@@ -1,10 +1,23 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 
-from maxnil_lab.canon import automorphism_orbits, canonical_form, is_isomorphic
+import maxnil_lab
+from maxnil_lab.canon import (
+    automorphism_generators,
+    automorphism_group,
+    automorphism_orbits,
+    canonical_form,
+    is_isomorphic,
+    orbit_representatives,
+)
 from maxnil_lab.graph import (
     Graph,
     build_graph,
+    circulant_graph,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -115,3 +128,57 @@ def test_automorphism_orbits():
             assert reps[u] == min(min(orbit), reps[u])
             for v in orbit:
                 assert reps[v] == reps[u]
+
+
+def brute_group(g, colors):
+    edges = set(g.edges)
+    return [p for p in itertools.permutations(range(g.n))
+            if all(colors[p[v]] == colors[v] for v in range(g.n))
+            and all(tuple(sorted((p[u], p[v]))) in edges for u, v in g.edges)]
+
+
+def test_generators_generate_the_colored_group_of_every_small_graph():
+    # every labelled graph on at most 5 vertices, uncolored and under a
+    # seeded random coloring
+    rng = random.Random(27)
+    for n in range(1, 6):
+        for g in all_graphs(n):
+            for colors in ([0] * n, [rng.randrange(3) for _ in range(n)]):
+                edges = set(g.edges)
+                for p in automorphism_generators(g, colors):
+                    assert sorted(p) == list(range(n))
+                    assert all(colors[p[v]] == colors[v] for v in range(n))
+                    assert {tuple(sorted((p[u], p[v]))) for u, v in edges} == edges
+                assert list(automorphism_group(g, colors)) == brute_group(g, colors)
+
+
+SYMMETRY_SCRIPT = """
+import json, sys
+from maxnil_lab.canon import automorphism_generators, canonical_form, orbit_representatives
+from maxnil_lab.graph import circulant_graph
+g = circulant_graph(13, [1, 3])
+colors = json.loads(sys.argv[1])
+reps = orbit_representatives(range(g.n), automorphism_generators(g, colors), lambda p, v: p[v])
+print(canonical_form(g, colors).hex(), list(reps.values()))
+"""
+
+
+def test_cached_search_does_not_leak_between_colorings():
+    # one graph uncolored, with two marked vertices, then uncolored
+    # again, in one process; each answer is that of a fresh process
+    g = circulant_graph(13, [1, 3])
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(maxnil_lab.__file__)))
+    marked = [0] * g.n
+    marked[0] = marked[5] = 1
+    answers = []
+    for colors in (None, marked, None):
+        reps = orbit_representatives(range(g.n), automorphism_generators(g, colors),
+                                     lambda p, v: p[v])
+        answers.append(f"{canonical_form(g, colors).hex()} {list(reps.values())}")
+        fresh = subprocess.run([sys.executable, "-c", SYMMETRY_SCRIPT, json.dumps(colors)], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert fresh.returncode == 0, fresh.stderr
+        assert fresh.stdout.strip() == answers[-1]
+    # the marks split the vertex orbit, which the uncolored search keeps whole
+    assert answers[0] == answers[2] != answers[1]
+    assert automorphism_orbits(g) == (0,) * g.n

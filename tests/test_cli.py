@@ -169,6 +169,12 @@ def test_bounds_table_parameter_validation(capsys, monkeypatch):
     # a family with a default parameter needs no flag
     code, out, _ = run(capsys, monkeypatch, ["bounds-table", "fig7"])
     assert code == 0 and len(out.strip().splitlines()) == 1
+    # a bound that is no integer, or an empty range, is a usage error
+    for argv in (["jorgensen", "--i", "abc"], ["q-extension", "--n", "13..x"],
+                 ["jorgensen", "--i", "5..2"]):
+        code, out, err = run(capsys, monkeypatch, ["bounds-table", *argv])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and argv[-1] in err
 
 
 def test_export_roundtrip(capsys, monkeypatch):

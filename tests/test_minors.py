@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from maxnil_lab import families
+from maxnil_lab.canon import automorphism_group
 from maxnil_lab.errors import UndecidedError
 from maxnil_lab.graph import (
     Graph,
@@ -24,7 +25,6 @@ from maxnil_lab.linking import petersen_family
 from maxnil_lab.minors import (
     MinorModel,
     _GROUP_LIMIT,
-    _automorphisms,
     _key_group,
     _model_from_frags,
     _Search,
@@ -558,10 +558,12 @@ def test_automorphisms_list_the_whole_group_in_order():
     graphs += [random_graph(rng.randrange(6, 10), rng.uniform(0.25, 0.75), rng)
                for _ in range(20)]
     for g in graphs:
-        assert list(_automorphisms(g)) == whole_group(g)
-    # a limit truncates the same list
+        assert list(automorphism_group(g)) == whole_group(g)
+    # above the limit the closure stops and says so
     k44 = complete_multipartite(4, 4)
-    assert list(_automorphisms(k44, 513)) == whole_group(k44)[:513]
+    assert len(whole_group(k44)) == 1_152
+    assert automorphism_group(k44, limit=_GROUP_LIMIT) is None
+    assert list(automorphism_group(k44, limit=1_152)) == whole_group(k44)
 
 
 def test_key_group_of_a_large_group_is_a_prefix_stabiliser():
