@@ -100,7 +100,16 @@ def _search(g: Graph, coloring: Tuple[int, ...]) -> Tuple[bytes, Tuple[Perm, ...
             visit(child)
 
     visit(list(coloring))
-    return best[0], tuple(dict.fromkeys(leaves + swaps))
+    form = best[0]
+    classes = sorted(set(coloring))
+    if len(classes) > 1:
+        # every leaf orders positions by initial class, so this rank
+        # string is the same for all of them and separates colorings
+        # whose classes differ in size or order
+        rank = {c: i for i, c in enumerate(classes)}
+        inv = sorted(range(g.n), key=best[1].__getitem__)
+        form += bytes(rank[coloring[v]] for v in inv)
+    return form, tuple(dict.fromkeys(leaves + swaps))
 
 
 def _colored_search(g: Graph, colors: Optional[Sequence[int]]) -> Tuple[bytes, Tuple[Perm, ...]]:
@@ -114,8 +123,10 @@ def canonical_form(g: Graph, colors: Optional[Sequence[int]] = None) -> bytes:
     """Canonical byte string; equal strings iff isomorphic.
 
     ``colors`` is an optional initial partition (smaller color first);
-    two colored graphs get the same form iff a color-preserving
-    isomorphism exists.
+    two colored graphs get the same form iff an isomorphism maps each
+    color class onto the class of the same rank. With two or more
+    classes the form ends with that rank for each canonical position;
+    an uncolored or one-class form is the adjacency encoding alone.
     """
     return _colored_search(g, colors)[0]
 

@@ -74,9 +74,10 @@ __all__ = [
 ]
 
 # simple-cycle enumeration cap; overflow raises UndecidedError. The
-# parity system counts only the short cycles it asks for before its
-# first 0 = 1, so it decides an IL host with more short cycles than the
-# cap when it needs fewer
+# parity system asks only for chordless short cycles, and counts only
+# those it asks for before its first 0 = 1: a nIL host overflows only
+# with more chordless short cycles than the cap, and an IL host only
+# when it needs more of them
 CYCLE_CAP = 10 ** 6
 
 
@@ -386,7 +387,7 @@ def _fragment_path(nb: Dict[int, int], att: int, comp: int) -> List[int]:
 
 
 def enumerate_cycles(g: Graph, cap: Optional[int] = None, max_len: Optional[int] = None,
-                     by_length: bool = False
+                     by_length: bool = False, chordless: bool = False
                      ) -> Union[Tuple[Tuple[int, ...], ...], Iterator[Tuple[int, ...]]]:
     """Every simple cycle, once up to rotation and reflection.
 
@@ -402,17 +403,22 @@ def enumerate_cycles(g: Graph, cap: Optional[int] = None, max_len: Optional[int]
     only once the shorter ones are used up, and the cap counts the
     cycles yielded: the error comes only when the one past it is asked
     for.
+
+    With ``chordless`` set, only cycles without a chord (an edge of g
+    between two vertices of the cycle that are not consecutive on it)
+    are generated, in the same order: the output is the chordless part
+    of the output without it, and the cap counts chordless cycles only.
     """
     limit = g.n if max_len is None else max_len
     if cap is None:
         cap = CYCLE_CAP
     if by_length:
-        return _cycle_walk(g, [(k, k) for k in range(3, limit + 1)], cap)
-    return tuple(_cycle_walk(g, [(3, limit)], cap))
+        return _cycle_walk(g, [(k, k) for k in range(3, limit + 1)], cap, chordless)
+    return tuple(_cycle_walk(g, [(3, limit)], cap, chordless))
 
 
-def _cycle_walk(g: Graph, spans: Sequence[Tuple[int, int]],
-                cap: int) -> Iterator[Tuple[int, ...]]:
+def _cycle_walk(g: Graph, spans: Sequence[Tuple[int, int]], cap: int,
+                chordless: bool) -> Iterator[Tuple[int, ...]]:
     """The cycles of each span (shortest, longest) of lengths in turn.
 
     Within a span, ``enumerate_cycles``' DFS order: each root's paths
@@ -421,11 +427,18 @@ def _cycle_walk(g: Graph, spans: Sequence[Tuple[int, int]],
     only if the vertex lies close enough to the root, among the
     vertices above it, to close a cycle of at most ``longest``
     vertices; that prunes subtrees without such cycles, so no order
-    changes. One root's cycles of a span are listed before the first
-    of them is yielded, but more than ``cap`` cycles raise
-    UndecidedError only once the cycle past the cap is asked for.
+    changes. With ``chordless`` set, a vertex joins the path only when
+    it has no neighbour on it but the last vertex and the root, and a
+    vertex after the second that neighbours the root only closes the
+    cycle: every other path ends in chorded cycles alone, and every
+    chordless cycle's path passes both tests, so the walk visits a
+    subtree of the same tree in the same order. One root's cycles of a
+    span are listed before the first of them is yielded, but more than
+    ``cap`` cycles raise UndecidedError only once the cycle past the cap
+    is asked for.
     """
     nbrs = [sorted(g.neighbors(v)) for v in range(g.n)]
+    adj = neighbor_masks(g)
     views = []
     for root in range(g.n):
         # dist: BFS distances from root through the vertices above it
@@ -439,7 +452,8 @@ def _cycle_walk(g: Graph, spans: Sequence[Tuple[int, int]],
         views.append((dist, {v: [w for w in nbrs[v] if w in dist] for v in queue}))
     count = 0
 
-    def grow(last: int) -> None:
+    def grow(last: int, inner: int) -> None:
+        # inner: mask of the path's vertices other than the root and last
         room = longest - len(path)
         for w in up[last]:
             if w == root:
@@ -448,10 +462,12 @@ def _cycle_walk(g: Graph, spans: Sequence[Tuple[int, int]],
                     if count + len(batch) > cap:
                         raise UndecidedError(
                             f"more than {cap} cycles; raise the cap to enumerate")
-            elif w not in on_path and dist[w] <= room:
+                if chordless and len(path) > 2:
+                    return  # each extension has the chord from last to root
+            elif w not in on_path and dist[w] <= room and not (chordless and adj[w] & inner):
                 path.append(w)
                 on_path.add(w)
-                grow(w)
+                grow(w, inner if last == root else inner | 1 << last)
                 on_path.remove(w)
                 path.pop()
 
@@ -461,7 +477,7 @@ def _cycle_walk(g: Graph, spans: Sequence[Tuple[int, int]],
             path = [root]
             on_path = {root}
             try:
-                grow(root)
+                grow(root, 0)
             except UndecidedError:
                 # the cycles within the cap still come, so the error
                 # reaches only a caller that asks for the one past it
@@ -606,23 +622,37 @@ def linkless_clasps(g: Graph) -> Optional[Tuple[Clasp, ...]]:
     returned set exists exactly when g embeds with every disjoint pair
     linking evenly, which holds exactly when g is nIL.
 
-    One unknown per pair of disjoint edges; one equation per cycle C of
-    at most n/2 vertices against each fundamental cycle of g - V(C).
-    Of two disjoint cycles one has at most n/2 vertices, and linking
-    parity is additive in either cycle, so these equations imply the
-    rest. The cycles C are generated one length at a time, shortest
-    first and each length in ``enumerate_cycles``' order, as the
-    elimination asks for them, and each one's equations follow the
-    order of the non-tree edges closing its fundamental cycles. Short
-    cycles carry the Conway-Gordon-Sachs obstructions, so an IL host
-    reaches 0 = 1 after few equations and generates no further cycle;
-    the order changes no verdict. More than ``CYCLE_CAP`` cycles
-    generated before that stop raise UndecidedError, so a nIL host
-    with more short cycles than the cap always does, and an IL host
-    only when it needs more. Before returning, the solution is
-    substituted into every equation, built a second time from the
-    cycles generated, and a failure raises RuntimeError. None of this
-    work counts against a caller's search budget.
+    One unknown per pair of disjoint edges; one equation per chordless
+    cycle C of at most n/2 vertices against each fundamental cycle of
+    g - V(C). Of two disjoint cycles one has at most n/2 vertices, and
+    linking parity is additive in either cycle, so the equations of
+    every short cycle imply the rest. The cycles C are generated one
+    length at a time, shortest first and each length in
+    ``enumerate_cycles``' order, as the elimination asks for them, and
+    each one's equations follow the order of the non-tree edges closing
+    its fundamental cycles.
+
+    A chorded cycle would add no equation. If C has a chord uv, then
+    C = C1 + C2 mod 2, C1 and C2 the two cycles through uv, both
+    shorter than C and both avoiding every cycle F that C avoids. A
+    row is bilinear in its pair of cycles and the chord's terms cancel
+    mod 2, so R(C, F) = R(C1, F) + R(C2, F), right-hand sides included.
+    F is a sum of fundamental cycles of g - V(Ci), so R(Ci, F) is a sum
+    of Ci's rows, which come earlier in by-length order; by induction
+    on length they are sums of chordless cycles' rows. So a chorded
+    cycle's rows reduce to 0 = 0 and create no pivot: the chordless
+    system has the same pivots, the same stopping equation, the same
+    clasps and the same odd-sum certificates as the full one.
+
+    Short cycles carry the Conway-Gordon-Sachs obstructions, so an IL
+    host reaches 0 = 1 after few equations and generates no further
+    cycle; the order changes no verdict. More than ``CYCLE_CAP``
+    chordless cycles generated before that stop raise UndecidedError,
+    so a nIL host with more chordless short cycles than the cap always
+    does, and an IL host only when it needs more. Before returning, the
+    solution is substituted into every equation, built a second time
+    from the cycles generated, and a failure raises RuntimeError. None
+    of this work counts against a caller's search budget.
     """
     return _solve_parity(g, certify=False)[0]
 
@@ -704,7 +734,7 @@ def _solve_parity(g: Graph, certify: bool) -> Tuple[Optional[Tuple[Clasp, ...]],
     cycles: List[Tuple[int, ...]] = []
 
     def generated():
-        for cyc in enumerate_cycles(g, max_len=g.n // 2, by_length=True):
+        for cyc in enumerate_cycles(g, max_len=g.n // 2, by_length=True, chordless=True):
             cycles.append(cyc)
             yield cyc
 

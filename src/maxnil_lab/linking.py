@@ -38,12 +38,14 @@ embedding makes every disjoint cycle pair link evenly, which is a
 solvable linear system. When the system is consistent the host has no
 family member and no K6 minor, and no search runs. In the IL and K6
 tests an inconsistent system only means the host is IL: the search
-still runs, to find the witness or, for K6, to decide. A host whose
-system asks for more than ``embedding.CYCLE_CAP`` short cycles goes to
-the search as well: any nIL host with that many, since its system
-lists them all, and an IL host only if it needs that many before its
-first 0 = 1. No verdict is cached, so each one depends only on the
-host, the patterns and the budget.
+still runs, to find the witness or, for K6, to decide. The system is
+built from chordless short cycles only, since a chorded cycle's
+equations sum those of shorter cycles. A host whose system asks for
+more than ``embedding.CYCLE_CAP`` of them goes to the search as well:
+any nIL host with that many, since its system lists them all, and an
+IL host only if it needs that many before its first 0 = 1. No verdict
+is cached, so each one depends only on the host, the patterns and the
+budget.
 
 One K6 test, ``has_k6_minor``, serves every caller, K6-maximality's
 base test and scan included. It first deletes, while there is one, a
@@ -85,7 +87,7 @@ replayed against the whole host by
 ``embedding.verify_linked_certificate``, without the solver, and one
 that does not replay raises RuntimeError, also under ``python -O``.
 Only a host whose system asks for more than ``embedding.CYCLE_CAP``
-short cycles goes to the search, straight away. A budget applies to
+chordless short cycles goes to the search, straight away. A budget applies to
 the search of each representative, so a scan that the parity system
 or the probe settles spends none of it. A parallel mode may partition
 the representatives across processes; results are combined so the
@@ -227,8 +229,9 @@ def _search_any_minor(g: Graph, patterns, budget: Optional[int],
     Hosts decided by a shortcut spend no budget, at any size, and the
     shortcuts' own work is not counted against it: the parity decider
     runs unbudgeted on every host that reaches it, IL or not, bounded
-    only by ``embedding.CYCLE_CAP``, which counts the short cycles it
-    generates before its first 0 = 1 (all of them on a nIL host).
+    only by ``embedding.CYCLE_CAP``, which counts the chordless short
+    cycles it generates before its first 0 = 1 (all of them on a nIL
+    host).
     ``apex`` is g's apexness when the caller knows it already. A
     disconnected g is tested component by component, so it is not used
     there.
@@ -290,7 +293,7 @@ def is_intrinsically_linked(g: Graph, budget: Optional[int] = None) -> Tuple[boo
     only: the parity decider runs unbudgeted, IL host or not, before the
     search of every host that the apex and cut-pair shortcuts leave
     open, bounded only by ``embedding.CYCLE_CAP``, which counts the
-    short cycles it generates before its first 0 = 1.
+    chordless short cycles it generates before its first 0 = 1.
     The outcome depends only on ``g`` and ``budget``.
     """
     model = _petersen_minor(g, budget)
@@ -398,7 +401,7 @@ def _linked_pairs(g: Graph) -> Optional[Tuple[CyclePair, ...]]:
     the host's vertex order, so a side's certificate, relabelled, has
     the same crossings in the host's reference drawing. Raises
     UndecidedError when a system asks for more than
-    ``embedding.CYCLE_CAP`` cycles.
+    ``embedding.CYCLE_CAP`` chordless short cycles.
     """
     sides = _cut_pair_sides(g)
     if sides is None:
@@ -416,9 +419,9 @@ def _augmentation_is_linked(aug: Graph, budget: Optional[int]) -> bool:
     An IL verdict must replay its odd-sum certificate against the whole
     host; a certificate that does not raises RuntimeError, also under
     ``python -O``. A host whose system asks for more than
-    ``embedding.CYCLE_CAP`` cycles goes straight to the branch-set
-    search, which would otherwise follow a second generation of the
-    same cycles.
+    ``embedding.CYCLE_CAP`` chordless short cycles goes straight to the
+    branch-set search, which would otherwise follow a second generation
+    of the same cycles.
     """
     try:
         pairs = _linked_pairs(aug)

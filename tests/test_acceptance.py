@@ -318,6 +318,16 @@ def test_criterion_10s_dense_fig7_family(certified):
     _verdict(10, ok)
 
 
+@pytest.mark.slow
+def test_criterion_10s_densest_fig7_family(certified):
+    # fig7_family(20): its base system has 99 chordless short cycles
+    g = fig7_family(20)
+    rep = _certified_maxnil(certified, "fig7_20", g)
+    ok = (g.n, g.m) == (20, 69)
+    ok = ok and (rep.il_status, rep.maxnil_status) == ("nIL", "maxnil")
+    _verdict(10, ok)
+
+
 def test_criterion_11_fig6_k5_sum(certified):
     t0 = time.perf_counter()
     g = k5_sum_example()

@@ -110,6 +110,43 @@ def test_colors_constrain_isomorphism():
     assert canonical_form(p3, end) == canonical_form(permute_vertices(p3, [2, 1, 0]), [0, 0, 1])
 
 
+def brute_colored_form(g, colors):
+    """Least (rank string, edge list) over all relabellings."""
+    rank = {c: i for i, c in enumerate(sorted(set(colors)))}
+    best = None
+    for p in itertools.permutations(range(g.n)):
+        ranks = [None] * g.n
+        for v in range(g.n):
+            ranks[p[v]] = rank[colors[v]]
+        key = (ranks, sorted(tuple(sorted((p[u], p[v]))) for u, v in g.edges))
+        best = key if best is None or key < best else best
+    return best
+
+
+def test_colored_forms_tell_class_sizes_and_order_apart():
+    # equal adjacency encodings, but the color classes differ in size
+    # or in order, so no color-preserving isomorphism exists
+    assert canonical_form(Graph(2), [0, 0]) != canonical_form(Graph(2), [0, 1])
+    p3 = path_graph(3)
+    assert canonical_form(p3, [0, 0, 1]) != canonical_form(p3, [1, 1, 0])
+    assert canonical_form(p3, [1, 1, 0]) == canonical_form(p3, [0, 1, 1])
+    assert canonical_form(p3, [0, 0, 1]) == canonical_form(p3, [3, 3, 7])
+    # an uncolored or one-class form is the adjacency encoding alone
+    for g in (Graph(2), p3, circulant_graph(13, [1, 3])):
+        assert canonical_form(g, [5] * g.n) == canonical_form(g)
+        assert len(canonical_form(g)) == 1 + (g.n * (g.n - 1) // 2 + 7) // 8
+    # same form iff same brute-force colored form, on every labelled
+    # graph of at most 4 vertices under every coloring with 3 colors
+    for n in range(1, 5):
+        forms = {}
+        for g in all_graphs(n):
+            for colors in itertools.product(range(3), repeat=n):
+                forms.setdefault(canonical_form(g, colors), set()).add(
+                    repr(brute_colored_form(g, colors)))
+        assert all(len(brute) == 1 for brute in forms.values())
+        assert len({b for brute in forms.values() for b in brute}) == len(forms)
+
+
 def test_automorphism_orbits():
     assert automorphism_orbits(complete_graph(5)) == (0,) * 5
     assert automorphism_orbits(cycle_graph(6)) == (0,) * 6

@@ -1,5 +1,6 @@
 """Rotation systems, cycle enumeration, sides, and the pole separation test."""
 
+import itertools
 import random
 
 import networkx as nx
@@ -24,6 +25,7 @@ from maxnil_lab.embedding import (
 from maxnil_lab.errors import GraphError, UndecidedError
 from maxnil_lab.families import (
     family_3n5,
+    fig7_family,
     fig7_graph,
     graph_g,
     h_k,
@@ -500,6 +502,124 @@ def test_cycle_cap_counts_the_cycles_generated_before_the_stop(monkeypatch):
     assert len([c for _, c in zip(range(cap), lazy)]) == cap
     with pytest.raises(UndecidedError):
         next(lazy)
+
+
+def has_chord(g: Graph, cyc) -> bool:
+    k = len(cyc)
+    return any(g.has_edge(cyc[i], cyc[j])
+               for i in range(k) for j in range(i + 2, k) if (i, j) != (0, k - 1))
+
+
+def test_chordless_walk_is_the_chordless_part_of_the_by_length_order(monkeypatch):
+    # the parity system takes only chordless cycles C; the walk must
+    # generate exactly those, in the order the full walk lists them
+    assert enumerate_cycles(cycle_graph(6), chordless=True) == ((0, 1, 2, 3, 4, 5),)
+    assert enumerate_cycles(complete_graph(4), chordless=True) == (
+        (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+    assert len(enumerate_cycles(complete_multipartite(3, 3), chordless=True)) == 9
+    assert list(enumerate_cycles(path_graph(5), by_length=True, chordless=True)) == []
+    q = q13_3()
+    rng = random.Random(28)
+    hosts = [jorgensen_family(i) for i in (0, 3, 5, 6)]
+    hosts += [graph_g(), k5_sum_example(), q, add_edge(q, q.non_edges()[0]),
+              complete_graph(7), fig7_family(12), theorem_main_graph(16)]
+    hosts += [random_host(rng) for _ in range(40)]
+    for g in hosts:
+        full = enumerate_cycles(g, max_len=g.n // 2)
+        lazy = enumerate_cycles(g, max_len=g.n // 2, by_length=True, chordless=True)
+        assert not isinstance(lazy, tuple)
+        assert tuple(lazy) == tuple(c for c in sorted(full, key=len) if not has_chord(g, c))
+        assert enumerate_cycles(g, max_len=g.n // 2, chordless=True) == tuple(
+            c for c in full if not has_chord(g, c))
+    # the cap counts the chordless cycles generated: J_5 has 1,193
+    # short cycles, of which 72 are chordless
+    j5 = jorgensen_family(5)
+    want = tuple(enumerate_cycles(j5, max_len=j5.n // 2, by_length=True, chordless=True))
+    assert len(want) == 72
+    for cap in (1, 30, 71, 72):
+        monkeypatch.setattr(embedding, "CYCLE_CAP", cap)
+        lazy = enumerate_cycles(j5, max_len=j5.n // 2, by_length=True, chordless=True)
+        assert tuple(itertools.islice(lazy, cap)) == want[:cap]
+        if cap < len(want):
+            with pytest.raises(UndecidedError):
+                next(lazy)
+        else:
+            assert next(lazy, None) is None
+
+
+def every_short_cycle(monkeypatch) -> list:
+    """Make the parity solve take every short cycle, chorded or not.
+
+    Returns the list that records each call's ``chordless`` request.
+    """
+    asked = []
+    walk = embedding.enumerate_cycles
+
+    def chorded_too(g, *args, chordless=False, **kwargs):
+        asked.append(chordless)
+        return walk(g, *args, **kwargs)
+
+    monkeypatch.setattr(embedding, "enumerate_cycles", chorded_too)
+    return asked
+
+
+def parity_corpus(bases, rng, randoms):
+    """Each base, every base plus one edge, and ``randoms`` random hosts."""
+    hosts = []
+    for g in bases:
+        hosts.append(g)
+        hosts += [add_edge(g, e) for e in g.non_edges()]
+    for _ in range(randoms):
+        n = rng.randrange(6, 13)
+        p = rng.uniform(0.3, 0.8)
+        hosts.append(build_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)
+                                     if rng.random() < p]))
+    return hosts
+
+
+def parity_outcome(g: Graph):
+    """(linkless_clasps, linked_certificate) of g, solving a nIL system
+    twice but an IL one once, since its clasp set is None."""
+    pairs = linked_certificate(g)
+    return (linkless_clasps(g) if pairs is None else None), pairs
+
+
+def assert_chorded_cycles_add_no_equation(monkeypatch, hosts):
+    got = [parity_outcome(g) for g in hosts]
+    with monkeypatch.context() as patch:
+        asked = every_short_cycle(patch)
+        full = [parity_outcome(g) for g in hosts]
+    assert asked and all(asked)
+    assert got == full
+    for g, (clasps, pairs) in zip(hosts, got):
+        assert (clasps is None) != (pairs is None)
+        if clasps is None:
+            assert verify_linked_certificate(g, pairs)
+        else:
+            assert verify_linkless_certificate(g, clasps)
+
+
+def test_chorded_cycles_add_no_equation(monkeypatch):
+    # a chorded cycle's rows sum rows of two shorter cycles, so the
+    # chordless system has the same pivots, stop, clasps and
+    # certificates as the full one; every clasp set replays against
+    # all cycle pairs, not only the chordless ones
+    bases = [jorgensen_family(i) for i in range(7)]
+    bases += [graph_g(), k5_sum_example(), q13_3(), fig7_family(12)]
+    hosts = parity_corpus(bases, random.Random(2801), 100)
+    assert len(hosts) == 404
+    assert sum(linkless_clasps(g) is not None for g in hosts) >= 30
+    assert_chorded_cycles_add_no_equation(monkeypatch, hosts)
+
+
+@pytest.mark.slow
+def test_chorded_cycles_add_no_equation_on_the_theorem_graphs(monkeypatch):
+    # theorem_main_graph(16) and (20) with every added edge and 300 more
+    # random hosts, whose full systems take seconds
+    hosts = parity_corpus([theorem_main_graph(16), theorem_main_graph(20)],
+                          random.Random(2802), 300)
+    assert len(hosts) == 540
+    assert_chorded_cycles_add_no_equation(monkeypatch, hosts)
 
 
 def certificate_mutations(g: Graph, pairs):

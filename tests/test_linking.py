@@ -22,7 +22,14 @@ from maxnil_lab import embedding, linking
 from maxnil_lab.canon import canonical_form, is_isomorphic
 from maxnil_lab.cliquesum import CliqueSumSpec, clique_sum
 from maxnil_lab.errors import UndecidedError
-from maxnil_lab.families import graph_g, jorgensen_family, jorgensen_graph, q13_3, theorem_main_graph
+from maxnil_lab.families import (
+    fig7_family,
+    graph_g,
+    jorgensen_family,
+    jorgensen_graph,
+    q13_3,
+    theorem_main_graph,
+)
 from maxnil_lab.formats import graph6_decode
 from maxnil_lab.graph import (
     Graph,
@@ -213,6 +220,15 @@ def test_parity_decider_settles_small_nil_hosts_without_budget():
     j = jorgensen_graph()
     assert is_intrinsically_linked(j, budget=1) == (False, None)
     assert is_maxnil(j, budget=1).maxnil_status == "maxnil"
+
+
+def test_dense_fig7_member_is_nil_by_its_chordless_system():
+    # 20 vertices and 69 edges, not apex and without an adjacent cut
+    # pair: the parity system decides it from its 99 chordless short
+    # cycles, where listing all of them took minutes
+    g = fig7_family(20)
+    assert (g.n, g.m) == (20, 69)
+    assert is_intrinsically_linked(g) == (False, None)
 
 
 def test_maxnil_scan_keeps_the_budget_when_the_parity_system_overflows(monkeypatch):
