@@ -116,7 +116,8 @@ def _read_graphs(path: str) -> List[Tuple[int, Graph]]:
     if path == "-":
         lines = sys.stdin.read().splitlines()
     else:
-        with open(path, "r", encoding="ascii") as fh:
+        # decoded as stdin is, so a stray byte is a graph6 error here too
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             lines = fh.read().splitlines()
     graphs = []
     for lineno, line in enumerate(lines, 1):

@@ -20,9 +20,9 @@ quadratic in the order, which suits the small graphs handled here
 answer is replayed: ``planar_embedding`` returns only a rotation that
 ``RotationSystem`` has traced and Euler-checked, raising GraphError
 otherwise, also under ``python -O``, and ``is_planar`` asks for that
-drawing. So the apex shortcut and the two-apex certificate rest on a
-checked drawing. A nonplanar answer carries no certificate; it only
-withholds those shortcuts.
+drawing. So the two-apex certificate and the families' planarity
+checks rest on a checked drawing. A nonplanar answer carries no
+certificate; it only withholds the two-apex certificate.
 
 Sides of a cycle are computed without coordinates. Two faces lie in
 the same region of a cycle C exactly when they share an edge off C;
@@ -85,15 +85,18 @@ class RotationSystem:
     """Clockwise neighbor orders plus the face structure they induce.
 
     ``rotation`` maps every vertex to a tuple holding each neighbor
-    exactly once; ``faces`` are tuples of directed edges; ``outer_face``
-    indexes the face drawn unbounded. Components other than the outer
-    face's get their own outer face, chosen as the face at their
-    smallest directed edge.
+    exactly once, and names no vertex outside 0..n-1; ``faces`` are
+    tuples of directed edges; ``outer_face`` indexes the face drawn
+    unbounded. Components other than the outer face's get their own
+    outer face, chosen as the face at their smallest directed edge.
     """
 
     def __init__(self, host: Graph, rotation: Dict[int, Sequence[int]],
                  outer_face: Optional[int] = None):
         self.host = host
+        for v in rotation:
+            if not (isinstance(v, int) and 0 <= v < host.n):
+                raise GraphError(f"rotation names vertex {v!r}, which the host does not have")
         rot = {}
         for v in range(host.n):
             order = tuple(rotation.get(v, ()))

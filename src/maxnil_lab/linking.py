@@ -15,23 +15,22 @@ deterministic. Only lists of more than one pattern are staged: a lone
 pattern's probe runs the same search as its rerun, so the K6 test
 searches exhaustively at once.
 
-Three sound shortcuts keep the branch-set search off easy hosts. A
-graph with a vertex whose removal leaves it planar embeds linklessly,
-so it contains no family member and no K6 minor; apexness is tested
-per component before any search. And since every family member is
-3-connected, a host splitting at an adjacent cut pair {u, v} contains a
-member iff one of the split sides (each keeping u, v and the edge uv)
-does: branch sets of a 3-connected pattern cannot straddle a 2-cut,
-and a fragment poking through {u, v} prunes back to its own side. Sums
-over an identified edge therefore decompose into their parts.
+Two sound steps keep the branch-set search off easy hosts. Since
+every family member is 3-connected, a host splitting at an adjacent
+cut pair {u, v} contains a member iff one of the split sides (each
+keeping u, v and the edge uv) does: branch sets of a 3-connected
+pattern cannot straddle a 2-cut, and a fragment poking through {u, v}
+prunes back to its own side. Sums over an identified edge therefore
+decompose into their parts.
 
-The third decides linklessness by linear algebra over GF(2)
-(``embedding.linkless_clasps``) on every host the first two leave
-open, before the branch-set search runs.
-Conway and Gordon ("Knots and links in spatial graphs", 1983) and
-Sachs (1983) show that every embedding of a family member has two
-disjoint cycles with odd linking number, and so has every embedding of
-a graph with such a minor. Robertson, Seymour and Thomas ("Sachs'
+The second decides linklessness by linear algebra over GF(2)
+(``embedding.linkless_clasps``) on every host the component and
+cut-pair splits leave open, before the branch-set search runs. It is
+the one nIL decider: a nIL verdict rests on it and on the cut-pair
+split alone. Conway and Gordon ("Knots and links in spatial graphs",
+1983) and Sachs (1983) show that every embedding of a family member
+has two disjoint cycles with odd linking number, and so has every
+embedding of a graph with such a minor. Robertson, Seymour and Thomas ("Sachs'
 linkless embedding conjecture", JCTB 64, 1995) show that a graph with
 no such minor embeds linklessly. So a host is nIL exactly when some
 embedding makes every disjoint cycle pair link evenly, which is a
@@ -43,9 +42,9 @@ built from chordless short cycles only, since a chorded cycle's
 equations sum those of shorter cycles. A host whose system asks for
 more than ``embedding.CYCLE_CAP`` of them goes to the search as well:
 any nIL host with that many, since its system lists them all, and an
-IL host only if it needs that many before its first 0 = 1. No verdict
-is cached, so each one depends only on the host, the patterns and the
-budget.
+IL host only if it needs that many before its first 0 = 1, whether or
+not the host is apex. No verdict is cached, so each one depends only on
+the host, the patterns and the budget.
 
 One K6 test, ``has_k6_minor``, serves every caller, K6-maximality's
 base test and scan included. It first deletes, while there is one, a
@@ -53,11 +52,13 @@ vertex whose neighbours form a clique of at most 4 vertices, which
 keeps the K6 verdict (Tarjan, "Decomposition by clique separators",
 1985). On what is left the contraction probe
 (``minors.contraction_probe``) contracts greedily down to 6 vertices,
-spending no budget; on a miss the shortcuts and the search decide.
+spending no budget; on a miss the cut-pair split, the parity system
+and the search decide.
 
-Every host the shortcuts leave open goes to the one branch-set search,
-``minors.find_minor``, whatever its size. So every witness comes in
-one format, and a budget always counts branch-set search nodes. A
+Every host the splits and the parity system leave open goes to the
+one branch-set search, ``minors.find_minor``, whatever its size. So
+every witness comes in one format, and a budget always counts
+branch-set search nodes. A
 model found in a piece (a component, a cut-pair side, the K6 test's
 reduced host) or by the probe is relabelled into the host and
 replayed: a search model that does not replay raises RuntimeError,
@@ -68,15 +69,9 @@ the smallest one, in lexicographic order: adding two edges of one orbit
 gives isomorphic hosts, so one search decides the whole orbit, and the
 smallest failing representative is the smallest failing edge. Orbits
 are exact, read off the automorphism generators of one canonical search
-of G. G is tested for apexness once, and the base IL test of a
-connected G reuses the answer, as does the base K6 test when its probe
-misses on the whole of G. When G is apex, an apex G+e is nIL at once;
-when G is not, no G+e is apex and the test is skipped. The
-K6-maximality scan runs the K6 test on the other representatives,
-telling it that they are not apex, so a probe miss on a whole host
-goes on without a second apex test. The maxnility scan decides them
-without the branch-set search, since reports carry no witness per
-added edge. A host splitting at an
+of G. The K6-maximality scan runs the K6 test on each representative.
+The maxnility scan decides them without the branch-set search, since
+reports carry no witness per added edge. A host splitting at an
 adjacent cut pair is decided side by side, each side by its own,
 smaller parity system; any other host is its own one side. A
 consistent system on every side means G+e is nIL, so G is not maxnil.
@@ -87,8 +82,8 @@ replayed against the whole host by
 ``embedding.verify_linked_certificate``, without the solver, and one
 that does not replay raises RuntimeError, also under ``python -O``.
 Only a host whose system asks for more than ``embedding.CYCLE_CAP``
-chordless short cycles goes to the search, straight away. A budget applies to
-the search of each representative, so a scan that the parity system
+chordless short cycles goes to the search, straight away. A budget
+applies to the search of each representative, so a scan that the parity system
 or the probe settles spends none of it. A parallel mode may partition
 the representatives across processes; results are combined so the
 reported failing edge is the smallest one regardless of scheduling.
@@ -106,7 +101,6 @@ from typing import Dict, Optional, Tuple
 from .canon import automorphism_generators, canonical_form, orbit_representatives
 from .embedding import (
     CyclePair,
-    is_planar,
     linked_certificate,
     linkless_clasps,
     verify_linked_certificate,
@@ -121,7 +115,6 @@ from .graph import (
     complete_graph,
     components,
     connected_components,
-    delete_vertex,
     induced_subgraph,
     neighbor_masks,
     triangle_to_y,
@@ -186,17 +179,6 @@ def _lift_model(host: Graph, verts: list, model: MinorModel, what: str) -> Minor
     return lifted
 
 
-def _is_apex(g: Graph) -> bool:
-    """True when deleting some single vertex leaves a planar graph.
-
-    A planar graph on k >= 3 vertices has at most 3k - 6 edges, so a
-    deletion leaving more is skipped without a planarity test.
-    """
-    k = g.n - 1
-    return g.n == 0 or any(is_planar(delete_vertex(g, v)) for v in range(g.n)
-                           if k < 3 or g.m - g.degree(v) <= 3 * k - 6)
-
-
 def _cut_pair_sides(g: Graph) -> Optional[list]:
     """Sides of g at its first adjacent cut pair, or None if it has none.
 
@@ -214,32 +196,28 @@ def _cut_pair_sides(g: Graph) -> Optional[list]:
     return None
 
 
-def _search_any_minor(g: Graph, patterns, budget: Optional[int],
-                      apex: Optional[bool] = None) -> Optional[MinorModel]:
+def _search_any_minor(g: Graph, patterns, budget: Optional[int]) -> Optional[MinorModel]:
     """First listed pattern occurring as a minor of g, with its model.
 
     Every pattern must be intrinsically linked and 3-connected, as the
     Petersen family and K6 are. Connected components are searched one
-    by one in vertex order. Each is tried against the apex shortcut,
-    split at an adjacent cut pair, and given to the linking parity
-    decider; a host a shortcut shows nIL has none of the patterns. What
-    is left goes to the branch-set search, pattern by pattern, at any
-    size. A budget caps the nodes of each branch-set search strictly and
-    exhaustion propagates.
-    Hosts decided by a shortcut spend no budget, at any size, and the
-    shortcuts' own work is not counted against it: the parity decider
-    runs unbudgeted on every host that reaches it, IL or not, bounded
+    by one in vertex order. Each is split at an adjacent cut pair, and
+    a side without one goes to the linking parity decider; a host the
+    decider shows nIL has none of the patterns. What is left goes to the
+    branch-set search, pattern by pattern, at any size. A budget caps
+    the nodes of each branch-set search strictly and exhaustion
+    propagates.
+    Hosts decided by the splits or the parity decider spend no budget,
+    at any size, and their own work is not counted against it: the
+    parity decider runs unbudgeted on every host that reaches it, IL or not, bounded
     only by ``embedding.CYCLE_CAP``, which counts the chordless short
     cycles it generates before its first 0 = 1 (all of them on a nIL
     host).
-    ``apex`` is g's apexness when the caller knows it already. A
-    disconnected g is tested component by component, so it is not used
-    there.
     """
     pieces, what = connected_components(g), "component"
     if len(pieces) <= 1:
         patterns = [p for p in patterns if p.n <= g.n and p.m <= g.m]
-        if not patterns or (_is_apex(g) if apex is None else apex):
+        if not patterns:
             return None
         pieces, what = _cut_pair_sides(g), "cut-pair"
         if pieces is None:
@@ -287,43 +265,41 @@ def is_intrinsically_linked(g: Graph, budget: Optional[int] = None) -> Tuple[boo
 
     With ``budget`` set, every underlying search is capped at that many
     nodes and exhaustion raises UndecidedError instead of guessing.
-    Hosts decided by a shortcut (apex, linking parity) spend no budget,
-    at any size, so every nIL graph the parity decider settles comes
-    back nIL under any budget. The budget counts branch-set search nodes
-    only: the parity decider runs unbudgeted, IL host or not, before the
-    search of every host that the apex and cut-pair shortcuts leave
-    open, bounded only by ``embedding.CYCLE_CAP``, which counts the
-    chordless short cycles it generates before its first 0 = 1.
+    Hosts decided by the linking parity decider spend no budget, at any
+    size, so every nIL graph it settles comes back nIL under any budget.
+    The budget counts branch-set search nodes only: the parity decider
+    runs unbudgeted, IL host or not, before the search of every host
+    that the component and cut-pair splits leave open, bounded only by
+    ``embedding.CYCLE_CAP``, which counts the chordless short cycles it
+    generates before its first 0 = 1.
     The outcome depends only on ``g`` and ``budget``.
     """
     model = _petersen_minor(g, budget)
     return (model is not None), model
 
 
-def _petersen_minor(g: Graph, budget: Optional[int],
-                    apex: Optional[bool] = None) -> Optional[MinorModel]:
-    """Witness of the IL test, given g's apexness if it is known."""
+def _petersen_minor(g: Graph, budget: Optional[int]) -> Optional[MinorModel]:
+    """Witness of the IL test."""
     # every family member has 15 edges and at least 6 vertices
     if g.m < 15 or g.n < 6:
         return None
-    return _search_any_minor(g, petersen_family(), budget, apex)
+    return _search_any_minor(g, petersen_family(), budget)
 
 
 def has_k6_minor(g: Graph, budget: Optional[int] = None) -> Tuple[bool, Optional[MinorModel]]:
     """K6-minor verdict with a minor model as the witness.
 
     The one K6 test, K6-maximality's too. Its contraction probe and,
-    since K6 is IL, the apex and linking-parity shortcuts spend no
-    budget, at any size; ``budget`` caps the branch-set search nodes of
-    the other hosts as in ``is_intrinsically_linked``.
+    since K6 is IL, the linking parity decider spend no budget, at any
+    size; ``budget`` caps the branch-set search nodes of the other
+    hosts as in ``is_intrinsically_linked``.
     """
     model = _k6_minor(g, budget)
     return (model is not None), model
 
 
-def _k6_minor(g: Graph, budget: Optional[int],
-              apex: Optional[bool] = None) -> Optional[MinorModel]:
-    """Witness of the K6 test, given g's apexness if it is known."""
+def _k6_minor(g: Graph, budget: Optional[int]) -> Optional[MinorModel]:
+    """Witness of the K6 test."""
     # K6 has 15 edges
     if g.m < 15 or g.n < 6:
         return None
@@ -335,8 +311,7 @@ def _k6_minor(g: Graph, budget: Optional[int],
             return _lift_model(g, verts, model, "probe")
         except RuntimeError:
             pass  # the probe guarantees nothing: a model that does not replay is a miss
-    model = _search_any_minor(core, [complete_graph(6)], budget,
-                              apex if len(verts) == g.n else None)
+    model = _search_any_minor(core, [complete_graph(6)], budget)
     return None if model is None else _lift_model(g, verts, model, "core")
 
 
@@ -459,16 +434,12 @@ def _k6_core(g: Graph) -> list:
 
 
 def _scan_chunk(args) -> Tuple[str, Optional[Edge]]:
-    g, edges, budget, k6_mode, base_apex = args
+    g, edges, budget, k6_mode = args
     for e in edges:
         aug = add_edge(g, e)
-        # a non-apex g has no apex G+e; an apex host has neither minor
-        if base_apex and _is_apex(aug):
-            return ("fail", e)
         try:
             if k6_mode:
-                # aug is not apex, so the K6 test need not ask again
-                hit = _k6_minor(aug, budget, False) is not None
+                hit = _k6_minor(aug, budget) is not None
             else:
                 hit = _augmentation_is_linked(aug, budget)
         except UndecidedError:
@@ -489,7 +460,7 @@ def _non_edge_orbits(g: Graph) -> Dict[Edge, Edge]:
 
 
 def _scan_augmentations(g: Graph, threads: int, budget: Optional[int],
-                        k6_mode: bool, base_apex: bool) -> Optional[Edge]:
+                        k6_mode: bool) -> Optional[Edge]:
     """Smallest non-edge whose addition stays minor-free, or None.
 
     Only the smallest non-edge of each Aut(g) orbit is added and
@@ -502,11 +473,11 @@ def _scan_augmentations(g: Graph, threads: int, budget: Optional[int],
     if not reps:
         return None
     if threads <= 1:
-        result = _scan_chunk((g, reps, budget, k6_mode, base_apex))
+        result = _scan_chunk((g, reps, budget, k6_mode))
     else:
         chunks = [reps[i::threads] for i in range(threads)]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            events = list(pool.map(_scan_chunk, [(g, c, budget, k6_mode, base_apex)
+            events = list(pool.map(_scan_chunk, [(g, c, budget, k6_mode)
                                                      for c in chunks if c]))
         hits = [(e, kind) for kind, e in events if e is not None]
         if not hits:
@@ -524,14 +495,13 @@ def is_maxnil(g: Graph, threads: Optional[int] = None, budget: Optional[int] = N
     """Certify that g is nIL and that every edge addition is IL."""
     t0 = time.perf_counter()
     threads = _default_threads() if threads is None else max(1, threads)
-    apex = _is_apex(g)
-    witness = _petersen_minor(g, budget, apex)
+    witness = _petersen_minor(g, budget)
     il = witness is not None
     report = VerificationReport(subject=g, il_status="IL" if il else "nIL", il_witness=witness)
     if il:
         report.maxnil_status = "not-maxnil"
     else:
-        failing = _scan_augmentations(g, threads, budget, False, apex)
+        failing = _scan_augmentations(g, threads, budget, False)
         if failing is None:
             report.maxnil_status = "maxnil"
         else:
@@ -546,17 +516,16 @@ def is_maximal_k6_minor_free(g: Graph, threads: Optional[int] = None,
     """Certify that g has no K6 minor and every edge addition creates one."""
     t0 = time.perf_counter()
     threads = _default_threads() if threads is None else max(1, threads)
-    apex = _is_apex(g)
-    il_witness = _petersen_minor(g, budget, apex)
+    il_witness = _petersen_minor(g, budget)
     il = il_witness is not None
     # K6 is IL, so a nIL graph has no K6 minor
-    witness = _k6_minor(g, budget, apex) if il else None
+    witness = _k6_minor(g, budget) if il else None
     report = VerificationReport(subject=g, il_status="IL" if il else "nIL", il_witness=il_witness,
                                 k6_has_minor=witness is not None, k6_witness=witness)
     if witness is not None:
         report.k6_maximal_status = "not-maximal"
     else:
-        failing = _scan_augmentations(g, threads, budget, True, apex)
+        failing = _scan_augmentations(g, threads, budget, True)
         if failing is None:
             report.k6_maximal_status = "maximal"
         else:

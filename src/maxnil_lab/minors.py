@@ -6,9 +6,11 @@ sets of every pattern edge.
 
 ``find_minor`` grows branch sets by connector paths: it seeds one
 pattern vertex, then repeatedly picks an unwitnessed pattern edge with a
-seeded endpoint and branches over all chordless free paths that either
-join the two fragments or found the missing one, splitting each path
-prefix/suffix between the two classes. Restricting to chordless
+seeded endpoint and branches over all chordless free paths from its
+seeded fragment that either reach the other fragment or, when the other
+endpoint is unseeded, found its branch set. One walk enumerates both
+kinds and splits each path prefix/suffix between the two classes; a
+founding suffix is never empty. Restricting to chordless
 connectors is complete: any valid connector inside a model shortcuts
 down to a chordless one that stays inside the same two branch sets.
 
@@ -487,7 +489,7 @@ class _Search:
             i, j = self.pedges[min(one, key=one_key)]
             if not frags[i]:
                 i, j = j, i
-            return self._connect_seed(frags, free, nb, i, j, len(unseeded))
+            return self._connect(frags, free, nb, i, j)
         # no pending edge touches a seeded vertex: seed a fresh one
         pick = max(unseeded, key=lambda p: (self.pdeg[p], -p))
         empty_state = all(f == 0 for f in frags)
@@ -564,27 +566,29 @@ class _Search:
         return got
 
     def _connect(self, frags, free, nb, i, j) -> Optional[list]:
-        # all chordless free paths from fragment i to fragment j
+        # all chordless free paths from fragment i that reach fragment j,
+        # or whose suffix founds j's branch set when j is unseeded
         fi, fj = frags[i], frags[j]
         start = nb[i] & free
-        end_zone = nb[j] & free
-        if not start or not end_zone:
+        if not start:
             return None
-        # only components touching both fragments can carry a connector
+        # a connector stays inside one free component. To join, it must
+        # touch both fragments; a new branch set stays in its component
+        # forever, which must reach every already seeded neighbor of j
+        goals = [fj] if fj else [frags[k] for k in self.pnbrs[j] if k != i and frags[k]]
         allowed = 0
-        for c in self._components(free)[0]:
-            if c & start and c & end_zone:
+        for c, cn in zip(*self._components(free)):
+            if c & start and all(cn & f for f in goals):
                 allowed |= c
         start &= allowed
-        limit = free.bit_count() - frags.count(0)
+        limit = free.bit_count() - frags.count(0) + (not fj)
 
         def extend(path_masks, path, last):
             self._tick()
-            if self.adj[last] & fj:
+            if not fj or self.adj[last] & fj:
                 got = self._apply(frags, free, nb, i, j, path)
-                if got:
+                if got or fj:
                     return got
-                return None
             if len(path) >= limit:
                 return None
             pm = path_masks
@@ -619,13 +623,14 @@ class _Search:
         return mask, tails
 
     def _apply(self, frags, free, nb, i, j, path) -> Optional[list]:
-        # fragment i takes the prefix path[:s] and j the suffix
+        # fragment i takes the prefix path[:s] and j the suffix; an
+        # unseeded j needs a nonempty suffix, which founds its branch set
         mask, tails = self._split_masks(path)
         nfree = free & ~mask
         old_i, old_j = frags[i], frags[j]
         nb_i, nb_j = nb[i], nb[j]
         pre = head = 0
-        for s in range(len(path) + 1):
+        for s in range(len(path) + (old_j != 0)):
             if s:
                 pre |= 1 << path[s - 1]
                 head |= self.adj[path[s - 1]]
@@ -638,71 +643,6 @@ class _Search:
                 return got
         frags[i], frags[j] = old_i, old_j
         nb[i], nb[j] = nb_i, nb_j
-        return None
-
-    def _connect_seed(self, frags, free, nb, i, j, n_unseeded) -> Optional[list]:
-        # paths from fragment i whose suffix founds the branch set of j
-        fi = frags[i]
-        start = nb[i] & free
-        if not start:
-            return None
-        # the new branch set stays inside its free component forever, so
-        # that component must reach every already seeded neighbor of j
-        seeded_others = [frags[k] for k in self.pnbrs[j] if k != i and frags[k]]
-        allowed = 0
-        for c, cn in zip(*self._components(free)):
-            if c & start and all(cn & fk for fk in seeded_others):
-                allowed |= c
-        start &= allowed
-        limit = free.bit_count() - (n_unseeded - 1)
-
-        def extend(path_masks, path, last):
-            self._tick()
-            got = self._apply_seed(frags, free, nb, i, j, path)
-            if got:
-                return got
-            if len(path) >= limit:
-                return None
-            pm = path_masks
-            before_last = pm & ~(1 << last)
-            for w in bits(self.adj[last] & free & ~pm):
-                if self.adj[w] & before_last:
-                    continue
-                if self.adj[w] & fi:
-                    continue
-                path.append(w)
-                got = extend(pm | 1 << w, path, w)
-                if got:
-                    return got
-                path.pop()
-            return None
-
-        for v1 in bits(start):
-            got = extend(1 << v1, [v1], v1)
-            if got:
-                return got
-        return None
-
-    def _apply_seed(self, frags, free, nb, i, j, path) -> Optional[list]:
-        # fragment i takes the prefix path[:s] and the suffix founds j
-        mask, tails = self._split_masks(path)
-        nfree = free & ~mask
-        old_i = frags[i]
-        nb_i = nb[i]
-        pre = head = 0
-        for s in range(len(path)):
-            if s:
-                pre |= 1 << path[s - 1]
-                head |= self.adj[path[s - 1]]
-            frags[i] = old_i | pre
-            frags[j] = mask ^ pre
-            nb[i] = nb_i | head
-            nb[j] = tails[s]
-            got = self._solve(frags, nfree, nb)
-            if got:
-                return got
-        frags[i], frags[j] = old_i, 0
-        nb[i], nb[j] = nb_i, 0
         return None
 
 

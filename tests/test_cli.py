@@ -201,6 +201,21 @@ def test_file_input_and_output(tmp_path, capsys, monkeypatch):
     assert "il: nIL" in out
 
 
+def test_file_input_with_a_non_ascii_byte_is_a_graph6_error(tmp_path, capsys, monkeypatch):
+    # a byte outside graph6's range is an input error (exit 2) from a
+    # file as from stdin, not a decoding traceback
+    target = tmp_path / "bad.g6"
+    # an e-acute in UTF-8, and a byte that is not UTF-8 at all
+    for data, shown in ((b"E\xc3\xa9w\n", "'\u00e9'"), (b"E\xffw\n", "'\\udcff'")):
+        target.write_bytes(data)
+        stdin = data.decode("utf-8", "surrogateescape")
+        want = (2, "", "graph6 error: line 1: invalid graph6 character "
+                       f"{shown} at byte 1 (byte offset 1)\n")
+        for command in ("verify", "export"):
+            assert run(capsys, monkeypatch, [command, str(target)]) == want
+            assert run(capsys, monkeypatch, [command], stdin=stdin) == want
+
+
 def test_certification_does_not_import_networkx(tmp_path):
     # networkx is a test-only reference; the package and the CLI run
     # without it, planarity included

@@ -270,6 +270,14 @@ def test_rotation_text_round_trip():
         rotation_from_text(g, "0: 1 2 3\n0: 3 2 1\n")
     with pytest.raises(GraphError):
         rotation_from_text(g, "zero: 1 2 3\n")
+    # entries for vertices the host does not have are refused, not ignored
+    c4 = cycle_graph(4)
+    c4_text = rotation_to_text(planar_embedding(c4))
+    assert rotation_from_text(c4, c4_text).rotation == planar_embedding(c4).rotation
+    with pytest.raises(GraphError, match="vertex 99"):
+        rotation_from_text(c4, c4_text + "99: 1 2\n-1: 0\n")
+    with pytest.raises(GraphError, match="vertex -1"):
+        rotation_from_text(c4, c4_text + "-1: 0\n")
 
 
 def test_pole_condition_requires_matching_host():

@@ -27,6 +27,7 @@ from maxnil_lab.families import (
     graph_g,
     jorgensen_family,
     jorgensen_graph,
+    k5_sum_example,
     q13_3,
     theorem_main_graph,
 )
@@ -349,6 +350,15 @@ def test_k6_maximality_reports():
     assert report.k6_maximal_status == "not-maximal"
     assert report.k6_failing_edge == (0, 2)
 
+    j = jorgensen_graph()
+    assert is_maxnil(j).maxnil_status == "maxnil"
+    assert is_maximal_k6_minor_free(j).k6_maximal_status == "maximal"
+    assert is_maximal_k6_minor_free(complete_graph(7)).k6_maximal_status == "not-maximal"
+    petersen = graph6_decode("I@QFCpSJ?")
+    report = is_maximal_k6_minor_free(petersen, threads=1)
+    assert (report.il_status, report.k6_has_minor) == ("IL", False)
+    assert report.k6_maximal_status == "not-maximal"
+
 
 def test_k6_maximality_reuses_the_nil_verdict(monkeypatch):
     # K6 is IL, so a nIL base has no K6 minor and the K6 test is only
@@ -364,9 +374,9 @@ def test_k6_maximality_reuses_the_nil_verdict(monkeypatch):
     bases = {"J": jorgensen_graph(), "G": graph_g(), "C5": cycle_graph(5), "K6-e": near}
     real = linking._k6_minor
     for name, g in bases.items():
-        def guarded(h, budget, apex=None, base=g):
+        def guarded(h, budget, base=g):
             assert h != base, "K6 test run on a nIL base"
-            return real(h, budget, apex)
+            return real(h, budget)
 
         with monkeypatch.context() as m:
             m.setattr(linking, "_k6_minor", guarded)
@@ -454,87 +464,38 @@ def test_apex_graphs_are_not_linked():
     assert has_k6_minor(apex) == (False, None)
 
 
-def test_apex_scan_hosts_are_settled_by_the_apex_test(monkeypatch):
-    # the 3x3 grid with a vertex joined to all grid vertices but 0: the
-    # grid plus (0, 2) stays planar, so that first representative is an
-    # apex host, settled without the parity system
+def test_apex_scan_hosts_are_settled_by_the_parity_system(monkeypatch):
+    # apex graphs have no apex shortcut: every host the splits leave
+    # open meets the parity system, which spends no budget. The 3x3 grid
+    # with a vertex joined to all grid vertices but 0 keeps its grid
+    # plus (0, 2) planar, so that first representative is nIL under
+    # both certifiers; fig6 is apex, maxnil and maximal
     grid_edges = [(v, v + 1) for v in range(9) if v % 3 < 2] + [(v, v + 3) for v in range(6)]
-    g = Graph(10, grid_edges + [(v, 9) for v in range(1, 9)])
-    assert linking._is_apex(g)
-    solved = []
+    grid = Graph(10, grid_edges + [(v, 9) for v in range(1, 9)])
+    fig6 = k5_sum_example()
+    for g in (grid, fig6):
+        assert any(embedding.is_planar(delete_vertex(g, v)) for v in range(g.n))
+    searched = []
 
-    def recording_certificate(h):
-        solved.append(h)
-        return embedding.linked_certificate(h)
+    def recording_find_minor(g, pattern, budget=None):
+        searched.append(g)
+        return find_minor(g, pattern, budget=budget)
 
-    monkeypatch.setattr(linking, "linked_certificate", recording_certificate)
-    report = is_maxnil(g)
-    assert (report.maxnil_status, report.maxnil_failing_edge) == ("not-maxnil", (0, 2))
-    assert is_intrinsically_linked(add_edge(g, (0, 2))) == (False, None)
-    assert solved == []
-
-
-def test_non_apex_scans_run_the_apex_test_on_the_base_only(monkeypatch):
-    # adding an edge keeps a non-apex graph non-apex, so no scan host
-    # of J is tested for apexness
-    tested = []
-
-    def recording_is_apex(h):
-        tested.append(h)
-        return is_apex(h)
-
-    is_apex = linking._is_apex
-    monkeypatch.setattr(linking, "_is_apex", recording_is_apex)
-    j = jorgensen_graph()
-    # the base IL test and the scan share one apex test of J
-    assert is_maxnil(j).maxnil_status == "maxnil"
-    assert tested == [j]
-    # the K6 scan too: the contraction probe settles every J+e, so no
-    # reduced host reaches the K6 test's own apex test either
-    tested.clear()
-    assert is_maximal_k6_minor_free(j).k6_maximal_status == "maximal"
-    assert tested == [j]
-
-
-def test_k6_certification_tests_an_il_base_for_apexness_once(monkeypatch):
-    # the base IL test and the base K6 test share one apex test of an
-    # IL base: the probe settles K7, and the Petersen graph is its own
-    # K6 core, so its search reuses the answer once the probe misses
-    tested = []
-
-    def recording_is_apex(h):
-        tested.append(h)
-        return is_apex(h)
-
-    is_apex = linking._is_apex
-    monkeypatch.setattr(linking, "_is_apex", recording_is_apex)
-    k7 = complete_graph(7)
-    assert is_maximal_k6_minor_free(k7).k6_maximal_status == "not-maximal"
-    assert tested == [k7]
-    tested.clear()
-    petersen = graph6_decode("I@QFCpSJ?")
-    report = is_maximal_k6_minor_free(petersen)
-    assert (report.il_status, report.k6_has_minor) == ("IL", False)
-    # its scan then has hosts to test, but the base is tested once
-    assert tested.count(petersen) == 1
-
-
-def test_k6_scan_hosts_are_not_tested_for_apexness(monkeypatch):
-    # a scan host is not apex: its base is not, or the scan's apex rule
-    # has just said so. The Petersen graph's scan host +(0, 1) misses the
-    # probe with nothing deleted, and still only the base is tested
-    tested = []
-
-    def recording_is_apex(h):
-        tested.append(h)
-        return is_apex(h)
-
-    is_apex = linking._is_apex
-    monkeypatch.setattr(linking, "_is_apex", recording_is_apex)
-    petersen = graph6_decode("I@QFCpSJ?")
-    report = is_maximal_k6_minor_free(petersen, threads=1)
-    assert report.k6_maximal_status == "not-maximal"
-    assert tested == [petersen]
+    want = {(grid, is_maxnil): {"maxnil_status": "not-maxnil", "maxnil_failing_edge": [0, 2]},
+            (grid, is_maximal_k6_minor_free): {"k6_maximal_status": "not-maximal",
+                                               "k6_failing_edge": [0, 2]},
+            (fig6, is_maxnil): {"maxnil_status": "maxnil", "maxnil_failing_edge": None},
+            (fig6, is_maximal_k6_minor_free): {"k6_maximal_status": "maximal",
+                                               "k6_failing_edge": None}}
+    for (g, certify), fields in want.items():
+        free = certify(g, threads=1).to_dict(include_elapsed=False)
+        assert free["il_status"] == "nIL"
+        assert {k: free[k] for k in fields} == fields
+        with monkeypatch.context() as m:
+            m.setattr(linking, "find_minor", recording_find_minor)
+            assert certify(g, threads=1, budget=1).to_dict(include_elapsed=False) == free
+        assert searched == []
+    assert is_intrinsically_linked(add_edge(grid, (0, 2))) == (False, None)
 
 
 def test_k6_scan_counts_only_probe_models_that_replay(monkeypatch):
@@ -559,9 +520,9 @@ def test_k6_scan_counts_only_probe_models_that_replay(monkeypatch):
 
     k6_minor = linking._k6_minor
 
-    def recording_k6(h, budget, apex=None):
+    def recording_k6(h, budget):
         decided.append(h)
-        return k6_minor(h, budget, apex)
+        return k6_minor(h, budget)
 
     def recording_find_minor(g, pattern, budget=None):
         searched.append(g)
@@ -639,23 +600,6 @@ def test_scan_splits_hosts_at_adjacent_cut_pairs(monkeypatch):
             assert (pairs is not None) == got
             assert not got or embedding.verify_linked_certificate(aug, pairs)
         assert split >= 5
-
-
-def test_apex_euler_filter_matches_the_unfiltered_definition():
-    # the filter only skips deletions that Euler's bound already shows
-    # nonplanar, so the verdict is that of testing every vertex
-    rng = random.Random(20261019)
-    verdicts = []
-    for trial in range(150):
-        n = trial % 5 if trial < 25 else rng.randrange(5, 11)
-        p = rng.uniform(0.3, 0.95)
-        g = build_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)
-                            if rng.random() < p])
-        want = g.n == 0 or any(embedding.is_planar(delete_vertex(g, v))
-                               for v in range(g.n))
-        assert linking._is_apex(g) == want
-        verdicts.append(want)
-    assert verdicts.count(True) >= 30 and verdicts.count(False) >= 30
 
 
 def test_edge_sum_decomposes_to_sides():
@@ -824,7 +768,7 @@ def test_engines_agree_on_random_hosts():
             assert verify_minor_model(g, witness.pattern, witness)
 
 
-def brute_force_scan(g, threads, budget, k6_mode, base_apex):
+def brute_force_scan(g, threads, budget, k6_mode):
     # every non-edge in lexicographic order, no symmetry reduction
     decide = has_k6_minor if k6_mode else is_intrinsically_linked
     for e in g.non_edges():

@@ -10,6 +10,7 @@ from maxnil_lab.canon import automorphism_group
 from maxnil_lab.errors import UndecidedError
 from maxnil_lab.graph import (
     Graph,
+    add_edge,
     bits,
     build_graph,
     complete_graph,
@@ -482,6 +483,49 @@ def test_q13_petersen_refutation_node_count():
     search = _Search(families.q13_3(), petersen, None)
     assert search.run() is None
     assert (search.nodes, len(search.failed), search.memo_hits) == (59_958, 5_660, 2_125)
+
+
+class ConnectorKindSearch(_Search):
+    """The branch-set search, counting connectors that join and that found."""
+
+    def __init__(self, host, pattern, budget):
+        super().__init__(host, pattern, budget)
+        self.kinds = {"join": 0, "found": 0}
+
+    def _connect(self, frags, free, nb, i, j):
+        self.kinds["join" if frags[j] else "found"] += 1
+        return super()._connect(frags, free, nb, i, j)
+
+
+# (nodes, failed states, memo hits) and the fragments of searches that
+# hit, recorded when joining and founding connectors had separate walks
+CONNECTOR_HITS = [
+    ((3, 12), (28, 0, 0), [1, 4096, 16, 128, 512, 2, 8, 1024, 2304, 100]),
+    ((5, 11), (6_992, 879, 141), [1, 32, 512, 384, 2048, 2, 72, 1024, 16, 4100]),
+    ((3, 5), (633, 88, 12), [1, 32, 64, 128, 2304, 4102, 8, 1024, 16, 512]),
+    ((2, 6), (14_685, 1_746, 357), [1, 32, 128, 64, 256, 2, 24, 4608, 4, 3072]),
+    (None, (240, 30, 6), [192, 4, 1, 258, 16, 32, 8]),
+]
+
+
+def test_connector_walk_node_counts_and_models():
+    # one walk grows every branch set: a fragment that founds the
+    # missing branch set keeps a nonempty suffix, and a founding path
+    # may be one vertex longer than a joining one; the hits below use
+    # both kinds of connector and visit the recorded nodes
+    petersen = next(p for p in petersen_family() if p.n == 10)
+    q = families.q13_3()
+    edges = random.Random(9).sample(q.non_edges(), 4)
+    cases = [(add_edge(q, e), petersen) for e in edges]
+    # the one reference case that hits: an asymmetric pattern in J_1
+    cases.append(reference_cases()[5])
+    assert edges == [e for e, _, _ in CONNECTOR_HITS[:4]]
+    for (host, pattern), (_, counts, frags) in zip(cases, CONNECTOR_HITS):
+        search = ConnectorKindSearch(host, pattern, None)
+        assert search.run() == frags
+        assert (search.nodes, len(search.failed), search.memo_hits) == counts
+        assert search.kinds["join"] and search.kinds["found"]
+        assert verify_minor_model(host, pattern, _model_from_frags(host, pattern, frags))
 
 
 def test_no_state_carries_over_between_searches():
